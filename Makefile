@@ -71,7 +71,7 @@ gamma-smoke:
 # (dispatch overhead and cache-hit path).
 engine-smoke:
 	$(GO) test -race -count=1 ./internal/engine/
-	$(GO) test -run=NONE -bench='BenchmarkEngine' -benchtime=1x .
+	$(GO) test -run=NONE -bench='Micro/engine_' -benchtime=1x .
 
 # The persistent-cache gate: a cold hisweep populates a cache file, a
 # second process restarts from it, and the warm run must (a) produce a

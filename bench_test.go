@@ -17,31 +17,25 @@
 //
 // Micro-benchmarks at the bottom measure the substrates themselves
 // (simplex pivots, MILP pooling, DES event throughput, channel sampling).
+// The ones BENCH_simcore.json records live in internal/microbench and run
+// here as sub-benchmarks of BenchmarkMicro.
 package hiopt_test
 
 import (
-	"fmt"
 	"io"
 	"math"
-	"path/filepath"
-	"runtime"
-	"sync"
 	"testing"
-	"time"
 
 	"hiopt/internal/body"
 	"hiopt/internal/channel"
 	"hiopt/internal/core"
-	"hiopt/internal/des"
 	"hiopt/internal/design"
-	"hiopt/internal/engine"
 	"hiopt/internal/experiments"
-	"hiopt/internal/fault"
 	"hiopt/internal/linexpr"
 	"hiopt/internal/lp"
+	"hiopt/internal/microbench"
 	"hiopt/internal/milp"
 	"hiopt/internal/netsim"
-	"hiopt/internal/phys"
 	"hiopt/internal/radio"
 	"hiopt/internal/rng"
 )
@@ -398,10 +392,21 @@ func BenchmarkExtParetoFront(b *testing.B) {
 
 // --- substrate micro-benchmarks ---
 
+// BenchmarkMicro runs the micro-benchmarks that BENCH_simcore.json
+// records, one sub-benchmark per entry named by its key in that file
+// (go test -bench Micro/engine_ runs the engine ones). hibench -benchjson
+// measures the same registry.
+func BenchmarkMicro(b *testing.B) {
+	for _, m := range microbench.All {
+		b.Run(m.Name, m.F)
+	}
+}
+
+// The substrate micro-benchmarks below are not recorded in
+// BENCH_simcore.json.
+
 func BenchmarkSimplexSolve(b *testing.B) {
-	// A representative LP: the root relaxation of the design example's
-	// MILP (≈40 variables, ≈70 rows after linearization).
-	pr := design.PaperProblem(0.9)
+	// A random dense LP: 30 bounded variables, 40 ≤ rows.
 	m := linexpr.NewModel()
 	ids := make([]linexpr.VarID, 30)
 	for i := range ids {
@@ -421,7 +426,6 @@ func BenchmarkSimplexSolve(b *testing.B) {
 	}
 	m.SetObjective(obj, false)
 	c := m.Compile()
-	_ = pr
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := lp.Solve(c); err != nil {
@@ -481,421 +485,6 @@ func BenchmarkChannelSample(b *testing.B) {
 	}
 }
 
-func BenchmarkDESSteadyState(b *testing.B) {
-	// A self-rescheduling event chain at 1 kHz: after warm-up every
-	// Schedule is served from the kernel's free list, so steady state
-	// must report 0 allocs/op (1000 events per op).
-	sim := des.New()
-	var tick func()
-	tick = func() { sim.Schedule(0.001, tick) }
-	sim.Schedule(0.001, tick)
-	sim.Run(1) // warm-up: populate the event pool
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Run(float64(i) + 2)
-	}
-	b.ReportMetric(float64(sim.Processed())/float64(b.N), "events/op")
-}
-
-func BenchmarkNetsimOneSecond(b *testing.B) {
-	// One simulated second per op of the busiest protocol corner (5-node
-	// CSMA mesh), stepped on a single long-lived network so the pooled
-	// steady state is visible: 0 allocs/op after warm-up.
-	cfg := netsim.DefaultConfig([]int{0, 1, 3, 5, 7}, netsim.CSMA, netsim.Mesh, 2)
-	cfg.Duration = 1 << 20 // effectively unbounded for a stepped run
-	n, err := netsim.New(cfg, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n.Start()
-	sim := n.Simulator()
-	sim.Run(2) // warm-up: fills the event/transmission pools
-	start := sim.Processed()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.Run(float64(i) + 3)
-	}
-	b.ReportMetric(float64(sim.Processed()-start)/float64(b.N), "events/op")
-}
-
-func BenchmarkChannelPathLossAt(b *testing.B) {
-	// One transmission's worth of receptions per op: every receiver pair
-	// advances to the same instant, exercising the flat pair-index lookup
-	// and the shared exp(−Δt/τ) memoization. Must report 0 allocs/op.
-	locs := body.Default()
-	ch := channel.New(locs, channel.DefaultParams(), rng.NewSource(1))
-	var sink phys.DB
-	t := 0.0
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t += 1e-3
-		for j := 1; j < len(locs); j++ {
-			sink += ch.PathLossAt(t, 0, j)
-		}
-	}
-	benchSinkDB = sink
-}
-
-// benchSinkDB defeats dead-code elimination of the PathLossAt benchmark.
-var benchSinkDB phys.DB
-
-func BenchmarkRobustEval(b *testing.B) {
-	// One 10-second robust evaluation per op: the 4-node star against its
-	// 1-node-failure family (3 scenarios + nominal, common random
-	// numbers) on a recycled evaluator — the unit of work the optimizer's
-	// robust screening pays per nominally feasible candidate.
-	cfg := netsim.DefaultConfig([]int{0, 1, 3, 6}, netsim.TDMA, netsim.Star, 2)
-	cfg.Duration = 10
-	scenarios := fault.ScenarioGen{Seed: 1}.KNodeFailures(cfg.Locations, cfg.CoordinatorLoc, 1, cfg.Duration)
-	ev := netsim.NewEvaluator()
-	if _, err := ev.EvaluateRobust(cfg, 1, 1, scenarios); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := ev.EvaluateRobust(cfg, 1, 1, scenarios); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(scenarios)+1), "sims/op")
-}
-
-// engineBatchRequests builds the engine-dispatched equivalent of
-// BenchmarkRobustEval's work: the 4-node star's nominal run plus its
-// 1-node-failure family, as one batch (keyed for the cache-hit variant).
-func engineBatchRequests(keyed bool) []engine.Request {
-	cfg := netsim.DefaultConfig([]int{0, 1, 3, 6}, netsim.TDMA, netsim.Star, 2)
-	cfg.Duration = 10
-	scenarios := fault.ScenarioGen{Seed: 1}.KNodeFailures(cfg.Locations, cfg.CoordinatorLoc, 1, cfg.Duration)
-	reqs := []engine.Request{{Cfg: cfg, Runs: 1, Seed: 1}}
-	for _, sc := range scenarios {
-		c := cfg
-		c.Scenario = sc
-		reqs = append(reqs, engine.Request{Cfg: c, Runs: 1, Seed: 1})
-	}
-	if keyed {
-		pk := design.Point{Topology: 1<<0 | 1<<1 | 1<<3 | 1<<6, TxMode: 2,
-			MAC: netsim.TDMA, Routing: netsim.Star}.Key()
-		reqs[0].Key = engine.PointKey(pk)
-		for i, sc := range scenarios {
-			reqs[i+1].Key = engine.ScenarioKey(pk, sc.Key())
-		}
-	}
-	return reqs
-}
-
-func BenchmarkEngineBatch(b *testing.B) {
-	// BenchmarkRobustEval's family dispatched through the evaluation
-	// engine's worker pool, uncached (every op simulates afresh): ns/op vs
-	// BenchmarkRobustEval is the engine's dispatch overhead, which must
-	// stay negligible against the simulation itself.
-	eng, err := engine.New(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reqs := engineBatchRequests(false)
-	if _, err := eng.EvaluateBatch(reqs, nil); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.EvaluateBatch(reqs, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(reqs)), "sims/op")
-}
-
-func BenchmarkEngineCacheHit(b *testing.B) {
-	// The same batch, keyed and pre-warmed: every op resolves from the
-	// unified cache without touching a simulator. EvaluateBatchInto with
-	// a reused results slice exercises the all-hits fast path — 0
-	// allocs/op, pinned by the hibench -cmp allocation gate.
-	eng, err := engine.New(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reqs := engineBatchRequests(true)
-	results := make([]*netsim.Result, len(reqs))
-	if err := eng.EvaluateBatchInto(results, reqs, nil); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := eng.EvaluateBatchInto(results, reqs, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(reqs)), "hits/op")
-}
-
-// contendHits hammers the engine's cache-hit path from g goroutines, each
-// performing hitsPerWorker single-request lookups over the keyed request
-// set with per-goroutine phase offsets (colliding keys, distinct access
-// order) — the access pattern of cache-heavy concurrent batches.
-func contendHits(b *testing.B, eng *engine.Engine, reqs []engine.Request, g, hitsPerWorker int) {
-	var wg sync.WaitGroup
-	for w := 0; w < g; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < hitsPerWorker; i++ {
-				if _, err := eng.Evaluate(reqs[(w+i)%len(reqs)]); err != nil {
-					b.Error(err)
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-}
-
-func BenchmarkEngineShardContention(b *testing.B) {
-	// GOMAXPROCS goroutines hammering cache hits on the lock-striped
-	// cache. The same workload against a single-stripe engine (the old
-	// single-mutex layout, NewSharded(…, 1)) is timed before the
-	// measured loop; speedup_vs_mutex1 is the contended-hit throughput
-	// ratio — ≈1 on a 1-CPU host where goroutines serialize anyway, and
-	// growing with cores as stripes stop the lock convoy.
-	const hitsPerWorker = 1000
-	g := runtime.GOMAXPROCS(0)
-	reqs := engineBatchRequests(true)
-
-	m1, err := engine.NewSharded(g, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := m1.EvaluateBatch(reqs, nil); err != nil {
-		b.Fatal(err)
-	}
-	contendHits(b, m1, reqs, g, hitsPerWorker) // warm up the baseline
-	t0 := time.Now()
-	const baseRounds = 3
-	for i := 0; i < baseRounds; i++ {
-		contendHits(b, m1, reqs, g, hitsPerWorker)
-	}
-	base := time.Since(t0).Seconds() / baseRounds
-
-	sharded, err := engine.NewSharded(g, 0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := sharded.EvaluateBatch(reqs, nil); err != nil {
-		b.Fatal(err)
-	}
-	contendHits(b, sharded, reqs, g, hitsPerWorker)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		contendHits(b, sharded, reqs, g, hitsPerWorker)
-	}
-	b.StopTimer()
-	per := b.Elapsed().Seconds() / float64(b.N)
-	b.ReportMetric(base/per, "speedup_vs_mutex1")
-	b.ReportMetric(float64(g*hitsPerWorker), "hits/op")
-	b.ReportMetric(float64(g), "goroutines")
-}
-
-func BenchmarkEngineDiskWarm(b *testing.B) {
-	// The warm-restart path end to end: a cold engine evaluates the keyed
-	// batch once and saves it; every op then builds a fresh engine, loads
-	// the cache file, and answers the whole batch from the persisted tier
-	// without a single fresh simulation.
-	path := filepath.Join(b.TempDir(), "cache.bin")
-	sig := engine.ContextSig(10, 1, 1)
-	cold, err := engine.New(1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	reqs := engineBatchRequests(true)
-	if _, err := cold.EvaluateBatch(reqs, nil); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := cold.SaveCache(path, sig); err != nil {
-		b.Fatal(err)
-	}
-	results := make([]*netsim.Result, len(reqs))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		warm, err := engine.New(1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := warm.LoadCache(path, sig); err != nil {
-			b.Fatal(err)
-		}
-		if err := warm.EvaluateBatchInto(results, reqs, nil); err != nil {
-			b.Fatal(err)
-		}
-		if st := warm.Stats(); st.Simulated != 0 || st.DiskHits != int64(len(reqs)) {
-			b.Fatalf("disk-warm op simulated %d / %d disk hits, want 0 / %d", st.Simulated, st.DiskHits, len(reqs))
-		}
-	}
-	b.ReportMetric(float64(len(reqs)), "disk_hits/op")
-}
-
-// engineRepBatchRequests builds 16 distinct configurations, each
-// requesting 8 replications of a 2-second horizon — the workload of the
-// replication-granularity scheduler benchmarks.
-func engineRepBatchRequests() []engine.Request {
-	locSets := [][]int{{0, 1, 3, 6}, {0, 2, 4, 6}, {0, 1, 5, 7}, {0, 3, 6, 9}}
-	var reqs []engine.Request
-	for _, locs := range locSets {
-		for _, m := range []netsim.MACKind{netsim.CSMA, netsim.TDMA} {
-			for _, rt := range []netsim.RoutingKind{netsim.Star, netsim.Mesh} {
-				cfg := netsim.DefaultConfig(locs, m, rt, 2)
-				cfg.Duration = 2
-				reqs = append(reqs, engine.Request{Cfg: cfg, Runs: 8, Seed: 1})
-			}
-		}
-	}
-	return reqs
-}
-
-func BenchmarkEngineRepsParallel(b *testing.B) {
-	// 16 points × 8 replications at Workers = GOMAXPROCS, scheduled at
-	// replication granularity (each replication is its own sub-task, so a
-	// single point's 8 replications spread across the pool). The
-	// sequential-replication baseline — one evaluator, replications in
-	// seed order — is timed inside the benchmark; speedup_vs_sequential
-	// records the wall-clock ratio: ≈1 on a single-core box, approaching
-	// min(GOMAXPROCS, reps) with cores.
-	reqs := engineRepBatchRequests()
-	ev := netsim.NewEvaluator()
-	for _, r := range reqs { // warm the allocator before timing the baseline
-		if _, err := ev.RunAveraged(r.Cfg, r.Runs, r.Seed); err != nil {
-			b.Fatal(err)
-		}
-	}
-	t0 := time.Now()
-	for _, r := range reqs {
-		if _, err := ev.RunAveraged(r.Cfg, r.Runs, r.Seed); err != nil {
-			b.Fatal(err)
-		}
-	}
-	seq := time.Since(t0)
-	eng, err := engine.New(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := eng.EvaluateBatch(reqs, nil); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.EvaluateBatch(reqs, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	par := b.Elapsed().Seconds() / float64(b.N)
-	b.ReportMetric(seq.Seconds()/par, "speedup_vs_sequential")
-	b.ReportMetric(float64(len(reqs)*8), "reps/op")
-}
-
-func BenchmarkEngineAdaptiveScreen(b *testing.B) {
-	// The screening-style adaptive workload: the same 16 points with the
-	// 8×2 s budget split into confidence-gated blocks against a bound
-	// every candidate is decisively clear of, so the gate stops most
-	// replication budgets early. reps_saved/op and saved_frac record the
-	// avoided work (the requests are keyless, so every op simulates
-	// afresh — a warm cache would measure nothing).
-	reqs := engineRepBatchRequests()
-	gate := &netsim.Gate{PDRMin: 0.5, Margin: 0.05, Confidence: 0.9}
-	for i := range reqs {
-		reqs[i].Adaptive = gate
-	}
-	eng, err := engine.New(0)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if _, err := eng.EvaluateBatch(reqs, nil); err != nil {
-		b.Fatal(err)
-	}
-	start := eng.Stats()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.EvaluateBatch(reqs, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	d := eng.Stats().Sub(start)
-	b.ReportMetric(float64(d.RepsSaved)/float64(b.N), "reps_saved/op")
-	if total := d.SimSeconds() + d.SavedSeconds; total > 0 {
-		b.ReportMetric(d.SavedSeconds/total, "saved_frac")
-	}
-}
-
-// --- warm MILP kernel ---
-
-// milpPoolChain drives the first three Algorithm 1 oracle iterations —
-// SolvePool, prune cut, SolvePool — on the paper problem's MILP, either
-// on a persistent warm State or on the clone-based cold path, and
-// returns total simplex pivots and branch-and-bound nodes.
-func milpPoolChain(b *testing.B, warm bool) (pivots, nodes int) {
-	work, obj, err := core.CompileMILP(design.PaperProblem(0.9))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var st *milp.State
-	if warm {
-		st = milp.NewState(work, milp.Options{})
-	}
-	for iter := 0; iter < 3; iter++ {
-		var pool []milp.PoolSolution
-		var agg *milp.Solution
-		var err error
-		if warm {
-			pool, agg, err = st.SolvePool(0, 1e-6)
-		} else {
-			pool, agg, err = milp.SolvePool(work, milp.Options{}, 0, 1e-6)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		if agg.Status != milp.Optimal || len(pool) == 0 {
-			b.Fatalf("iter %d: status %v, %d members", iter, agg.Status, len(pool))
-		}
-		pivots += agg.LPIterations
-		nodes += agg.Nodes
-		work.AddExprRow(fmt.Sprintf("prune_%d", iter), obj, linexpr.GE, agg.Objective+1e-4)
-	}
-	return pivots, nodes
-}
-
-// BenchmarkMILPSolvePool measures the full pooled-MILP chain of Algorithm
-// 1's first three iterations. The warm sub-benchmark keeps one persistent
-// solver state across iterations (dual-simplex re-solves, bound-diff
-// nodes, live no-good cuts); cold re-clones and re-solves from scratch
-// like the pre-warm-kernel code path. pivots/op is the acceptance metric:
-// warm must stay ≥2x below cold.
-func BenchmarkMILPSolvePool(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		warm bool
-	}{{"warm", true}, {"cold", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var pivots, nodes int
-			for i := 0; i < b.N; i++ {
-				p, n := milpPoolChain(b, mode.warm)
-				pivots += p
-				nodes += n
-			}
-			b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
-			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
-		})
-	}
-}
-
 // BenchmarkMILPCutResolve measures the LP unit the warm kernel exists
 // for: a pruning cut's right-hand side moves and the paper problem's
 // root relaxation re-solves from the incumbent basis instead of from
@@ -940,186 +529,24 @@ func BenchmarkMILPCutResolve(b *testing.B) {
 
 func BenchmarkMILPKnapsack(b *testing.B) {
 	m := linexpr.NewModel()
-	var ids []linexpr.VarID
 	weights := []float64{3, 4, 2, 1, 5, 6, 2, 3, 4, 1, 2, 5}
 	values := []float64{10, 13, 7, 5, 16, 18, 6, 9, 12, 3, 7, 15}
 	e := linexpr.Expr{}
 	obj := linexpr.Expr{}
 	for i := range weights {
 		id := m.Binary("")
-		ids = append(ids, id)
 		e = e.PlusTerm(id, weights[i])
 		obj = obj.PlusTerm(id, values[i])
 	}
 	m.Add("w", e, linexpr.LE, 15)
 	m.SetObjective(obj, true)
 	c := m.Compile()
-	_ = ids
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s, err := milp.Solve(c, milp.Options{})
 		if err != nil || s.Status != milp.Optimal {
 			b.Fatal(err, s.Status)
 		}
-	}
-}
-
-// gammaSweepChain drives one Γ price-curve sweep — the oracle workload
-// behind hisweep -gamma — over the Γ-robust relaxation at the attainable
-// 0.6 floor (every Γ in the sweep is feasible within MaxNodes: the
-// availability row demands N >= Γ·0.75/0.4, i.e. N >= 2, 4, 6). Warm
-// keeps one persistent solver state and moves Γ with RetargetGamma (a
-// single right-hand-side mutation, dual-simplex re-solve from the
-// incumbent basis); cold recompiles the robust relaxation and rebuilds a
-// fresh state at every Γ, like a sweep without the handle would.
-func gammaSweepChain(b *testing.B, warm bool, st *milp.State, h *core.RobustHandle) (pivots, nodes int) {
-	pr := design.PaperProblem(0.9)
-	for _, gamma := range []float64{1, 2, 3} {
-		var pool []milp.PoolSolution
-		var agg *milp.Solution
-		var err error
-		if warm {
-			if err = h.RetargetGamma(st, gamma); err != nil {
-				b.Fatal(err)
-			}
-			pool, agg, err = st.SolvePool(0, 1e-6)
-		} else {
-			var work *linexpr.Compiled
-			work, _, _, err = core.CompileMILPRobust(pr, core.RobustCompile{Gamma: gamma, PDRFloor: 0.6})
-			if err != nil {
-				b.Fatal(err)
-			}
-			pool, agg, err = milp.NewState(work, milp.Options{}).SolvePool(0, 1e-6)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		if agg.Status != milp.Optimal || len(pool) == 0 {
-			b.Fatalf("Γ=%g: status %v, %d members", gamma, agg.Status, len(pool))
-		}
-		pivots += agg.LPIterations
-		nodes += agg.Nodes
-	}
-	return pivots, nodes
-}
-
-// BenchmarkMILPGammaSweep measures the Γ = 1 → 2 → 3 robustness
-// price-curve sweep. warm is the RetargetGamma path hisweep -gamma and
-// the Γ-propose optimizer rely on; cold is the recompile-per-Γ baseline.
-// pivots/op warm vs cold is the recorded payoff of right-hand-side
-// retargeting across Γ moves.
-func BenchmarkMILPGammaSweep(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		warm bool
-	}{{"warm", true}, {"cold", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var st *milp.State
-			var h *core.RobustHandle
-			if mode.warm {
-				work, _, hh, err := core.CompileMILPRobust(design.PaperProblem(0.9), core.RobustCompile{Gamma: 1, PDRFloor: 0.6})
-				if err != nil {
-					b.Fatal(err)
-				}
-				h = hh
-				st = milp.NewState(work, milp.Options{})
-			}
-			var pivots, nodes int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p, n := gammaSweepChain(b, mode.warm, st, h)
-				pivots += p
-				nodes += n
-			}
-			b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
-			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
-		})
-	}
-}
-
-// paretoFrontBounds is the 16-point ε grid of the front benchmarks:
-// 0.60 → 0.87 in steps of 0.018, crossing the Γ = 1 node-count ceilings
-// (n − 0.75)/n at 0.8125 (n = 4), 0.85 (n = 5), and 0.875 (n = 6), so
-// the sweep repeatedly changes which power classes the floor row prunes.
-func paretoFrontBounds() []float64 {
-	bounds := make([]float64, 16)
-	for i := range bounds {
-		bounds[i] = 0.60 + 0.018*float64(i)
-	}
-	return bounds
-}
-
-// paretoFrontChain drives one 16-point ε-constraint front enumeration —
-// the MILP-layer workload behind hisweep -pareto — over the Γ = 1
-// protected relaxation at the attainable 0.6 robust floor, pooling at
-// each bound. Warm moves the floor with ParetoHandle.Retarget on one
-// persistent state (a single right-hand-side mutation, dual-simplex
-// re-solve); cold recompiles the pareto relaxation and rebuilds a fresh
-// state per bound, like hisweep -paretocold.
-func paretoFrontChain(b *testing.B, warm bool, st *milp.State, h *core.ParetoHandle) (pivots, nodes int) {
-	pr := design.PaperProblem(0.9)
-	for _, eps := range paretoFrontBounds() {
-		var pool []milp.PoolSolution
-		var agg *milp.Solution
-		var err error
-		if warm {
-			h.Retarget(st, eps)
-			pool, agg, err = st.SolvePool(0, 1e-6)
-		} else {
-			var work *linexpr.Compiled
-			work, _, _, err = core.CompileMILPPareto(pr, core.RobustCompile{Gamma: 1, PDRFloor: 0.6}, eps)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pool, agg, err = milp.NewState(work, milp.Options{}).SolvePool(0, 1e-6)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		if agg.Status != milp.Optimal || len(pool) == 0 {
-			b.Fatalf("ε=%g: status %v, %d members", eps, agg.Status, len(pool))
-		}
-		pivots += agg.LPIterations
-		nodes += agg.Nodes
-	}
-	return pivots, nodes
-}
-
-// BenchmarkMILPParetoFront measures the 16-point ε-constraint front
-// enumeration. warm is the Retarget path hisweep -pareto rides (the
-// pareto_warm_front entry of BENCH_simcore.json); cold is the
-// recompile-per-bound baseline. pivots/op warm vs cold is the recorded
-// incremental-re-solve payoff of the warm front.
-func BenchmarkMILPParetoFront(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		warm bool
-	}{{"warm", true}, {"cold", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var st *milp.State
-			var h *core.ParetoHandle
-			if mode.warm {
-				work, _, hh, err := core.CompileMILPPareto(design.PaperProblem(0.9), core.RobustCompile{Gamma: 1, PDRFloor: 0.6}, 0.6)
-				if err != nil {
-					b.Fatal(err)
-				}
-				h = hh
-				st = milp.NewState(work, milp.Options{})
-			}
-			points := len(paretoFrontBounds())
-			var pivots, nodes int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p, n := paretoFrontChain(b, mode.warm, st, h)
-				pivots += p
-				nodes += n
-			}
-			b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
-			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
-			b.ReportMetric(float64(points)/(b.Elapsed().Seconds()/float64(b.N)), "points/sec")
-		})
 	}
 }
 

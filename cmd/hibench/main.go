@@ -14,10 +14,11 @@
 // NLT/PDR/latency front), all excluded from "all" for cost.
 //
 // Performance tooling: -cpuprofile/-memprofile write pprof profiles of
-// the run, and -benchjson measures the simulator micro-benchmarks
-// in-process and emits them (with per-experiment wall times) as JSON —
-// the generator of the checked-in BENCH_simcore.json. Two such files are
-// diffed with
+// the run, and -benchjson measures the micro-benchmarks of
+// internal/microbench in-process and emits them (with per-experiment wall
+// times) as JSON — the generator of the checked-in BENCH_simcore.json.
+// Entries of an existing file that it does not measure, such as
+// hiserve-bench's ServeLoad, are kept. Two such files are diffed with
 //
 //	hibench -cmp OLD.json NEW.json
 //

@@ -33,6 +33,29 @@ import (
 // the file itself carries a fixed service signature.
 const serveCacheSig = 0x68697365727665 // "hiserve"
 
+// Connection timeouts of the daemon's HTTP server, so a slow or stalled
+// client cannot hold a connection open indefinitely: the request header
+// must arrive within readHeaderTimeout and the whole request (a JSON body
+// of at most 64 KiB) within readTimeout, and an idle keep-alive
+// connection is closed after idleTimeout. There is deliberately no write
+// timeout: an NDJSON design stream legitimately runs for minutes.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newServer builds the daemon's HTTP server for h on addr.
+func newServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
+}
+
 func main() {
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
@@ -79,7 +102,7 @@ func main() {
 		os.Exit(1)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: s}
+	srv := newServer(*addr, s)
 	errc := make(chan error, 1)
 	go func() {
 		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
