@@ -37,8 +37,13 @@ const serveCacheSig = 0x68697365727665 // "hiserve"
 // client cannot hold a connection open indefinitely: the request header
 // must arrive within readHeaderTimeout and the whole request (a JSON body
 // of at most 64 KiB) within readTimeout, and an idle keep-alive
-// connection is closed after idleTimeout. There is deliberately no write
-// timeout: an NDJSON design stream legitimately runs for minutes.
+// connection is closed after idleTimeout. readTimeout bounds reading the
+// request only, not the handler: once the handler has read the body to
+// EOF, net/http clears the connection's read deadline before it starts
+// watching for a client disconnect, so a solve running past readTimeout
+// keeps a live request context (TestLongHandlerOutlivesReadTimeout pins
+// this). There is deliberately no write timeout: an NDJSON design stream
+// legitimately runs for minutes.
 const (
 	readHeaderTimeout = 5 * time.Second
 	readTimeout       = 30 * time.Second
