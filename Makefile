@@ -47,14 +47,16 @@ benchcmp:
 # benchcmp, but only when a checked-in baseline exists — the form wired
 # into `make check` so a fresh clone without a snapshot still passes.
 # Timings on shared/virtualized boxes flap by ±30% run to run, so the
-# check-wired gate widens the ns/op threshold to 50% (a real hot-path
-# regression still trips it) while keeping the near-deterministic
-# allocs/op and B/op gates at the strict 10%; `make benchcmp` remains
-# the strict timing gate for quiet machines.
+# check-wired gate measures twice and gates each benchmark's faster
+# ns/op, with the threshold widened to 50% (a real hot-path regression
+# still trips it), while keeping the near-deterministic allocs/op and
+# B/op gates at the strict 10% on the larger of the two runs;
+# `make benchcmp` remains the strict timing gate for quiet machines.
 benchcmp-auto:
 	@if [ -f BENCH_simcore.json ]; then \
 		$(GO) run ./cmd/hibench -exp t1 -benchjson /tmp/hibench-new.json > /dev/null && \
-		$(GO) run ./cmd/hibench -cmp -nsdelta 0.5 BENCH_simcore.json /tmp/hibench-new.json; \
+		$(GO) run ./cmd/hibench -exp t1 -benchjson /tmp/hibench-new2.json > /dev/null && \
+		$(GO) run ./cmd/hibench -cmp -nsdelta 0.5 BENCH_simcore.json /tmp/hibench-new.json /tmp/hibench-new2.json; \
 	else echo "benchcmp-auto: no BENCH_simcore.json baseline, skipping"; fi
 
 # A tiny Γ ∈ {0,1} propose-and-verify chain at the attainable 0.6 robust

@@ -165,10 +165,34 @@ func joinComma(s []string) string {
 	return out
 }
 
-// runBenchCmp is the -cmp entry point: diff OLD and NEW benchmark JSON
-// files and exit non-zero when any metric regressed beyond its
-// threshold.
-func runBenchCmp(oldPath, newPath string, nsThreshold float64) {
+// mergeRuns folds several fresh -benchjson runs of the same code into
+// the one file compareBench gates: per benchmark the minimum ns/op (the
+// low-noise estimator, so one unlucky run cannot trip the timing gate)
+// and the maximum allocs/op and B/op (repetition must not hide an
+// allocation regression). Custom metrics come from the first run that
+// has the benchmark.
+func mergeRuns(runs []*benchFile) *benchFile {
+	merged := &benchFile{Benchmarks: map[string]benchEntry{}}
+	for _, bf := range runs {
+		for name, e := range bf.Benchmarks {
+			m, ok := merged.Benchmarks[name]
+			if !ok {
+				merged.Benchmarks[name] = e
+				continue
+			}
+			m.NsPerOp = min(m.NsPerOp, e.NsPerOp)
+			m.AllocsPerOp = max(m.AllocsPerOp, e.AllocsPerOp)
+			m.BytesPerOp = max(m.BytesPerOp, e.BytesPerOp)
+			merged.Benchmarks[name] = m
+		}
+	}
+	return merged
+}
+
+// runBenchCmp is the -cmp entry point: diff the OLD benchmark JSON file
+// against one or more NEW runs (merged by mergeRuns) and exit non-zero
+// when any metric regressed beyond its threshold.
+func runBenchCmp(oldPath string, newPaths []string, nsThreshold float64) {
 	if nsThreshold <= 0 {
 		nsThreshold = regressionThreshold
 	}
@@ -177,12 +201,16 @@ func runBenchCmp(oldPath, newPath string, nsThreshold float64) {
 		fmt.Fprintln(os.Stderr, "hibench -cmp:", err)
 		os.Exit(1)
 	}
-	newBF, err := readBenchFile(newPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hibench -cmp:", err)
-		os.Exit(1)
+	var runs []*benchFile
+	for _, path := range newPaths {
+		bf, err := readBenchFile(path)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "hibench -cmp:", err)
+			os.Exit(1)
+		}
+		runs = append(runs, bf)
 	}
-	regressed := compareBench(oldBF, newBF, nsThreshold, os.Stdout)
+	regressed := compareBench(oldBF, mergeRuns(runs), nsThreshold, os.Stdout)
 	if len(regressed) > 0 {
 		fmt.Fprintf(os.Stderr, "hibench -cmp: %d benchmark(s) regressed beyond the thresholds (ns/op %.0f%%, allocs/op and B/op %.0f%%): %v\n",
 			len(regressed), 100*nsThreshold, 100*regressionThreshold, regressed)

@@ -127,3 +127,38 @@ func TestCompareBenchNoMetricsNoSection(t *testing.T) {
 		t.Fatalf("custom-metrics section printed with no metrics present:\n%s", out.String())
 	}
 }
+
+// TestMergeRunsMinTimeMaxAllocs: several fresh runs are gated on their
+// fastest ns/op, so one noisy run cannot fail the timing gate, but on
+// their largest allocs/op and B/op, so repetition hides no allocation
+// regression.
+func TestMergeRunsMinTimeMaxAllocs(t *testing.T) {
+	oldBF := bf(map[string]benchEntry{
+		"Noisy": {NsPerOp: 100, AllocsPerOp: 1000, BytesPerOp: 100000},
+		"Leaky": {NsPerOp: 100, AllocsPerOp: 1000, BytesPerOp: 100000},
+	})
+	runA := bf(map[string]benchEntry{
+		"Noisy": {NsPerOp: 190, AllocsPerOp: 1000, BytesPerOp: 100000},
+		"Leaky": {NsPerOp: 100, AllocsPerOp: 1000, BytesPerOp: 100000},
+		"OnlyA": {NsPerOp: 7},
+	})
+	runB := bf(map[string]benchEntry{
+		"Noisy": {NsPerOp: 105, AllocsPerOp: 1000, BytesPerOp: 100000},
+		"Leaky": {NsPerOp: 90, AllocsPerOp: 2000, BytesPerOp: 300000},
+	})
+	merged := mergeRuns([]*benchFile{runA, runB})
+	if e := merged.Benchmarks["Noisy"]; e.NsPerOp != 105 {
+		t.Fatalf("Noisy ns/op %g, want the minimum 105", e.NsPerOp)
+	}
+	if e := merged.Benchmarks["Leaky"]; e.NsPerOp != 90 || e.AllocsPerOp != 2000 || e.BytesPerOp != 300000 {
+		t.Fatalf("Leaky merged to %+v, want ns 90, allocs 2000, B 300000", e)
+	}
+	if e := merged.Benchmarks["OnlyA"]; e.NsPerOp != 7 {
+		t.Fatalf("a benchmark in one run only was not carried: %+v", e)
+	}
+	var out strings.Builder
+	regressed := compareBench(oldBF, merged, 0.5, &out)
+	if len(regressed) != 1 || regressed[0] != "Leaky(allocs/op,B/op)" {
+		t.Fatalf("regressed %v, want only Leaky(allocs/op,B/op):\n%s", regressed, out.String())
+	}
+}

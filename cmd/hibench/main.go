@@ -18,12 +18,14 @@
 // internal/microbench in-process and emits them (with per-experiment wall
 // times) as JSON — the generator of the checked-in BENCH_simcore.json.
 // Entries of an existing file that it does not measure, such as
-// hiserve-bench's ServeLoad, are kept. Two such files are diffed with
+// hiserve-bench's ServeLoad, are kept. Such files are diffed with
 //
-//	hibench -cmp OLD.json NEW.json
+//	hibench -cmp OLD.json NEW.json [NEW2.json ...]
 //
 // which prints a delta table and exits non-zero when any benchmark's
-// ns_per_op regressed by more than 10% (the `make benchcmp` gate).
+// ns_per_op regressed by more than 10% (the `make benchcmp` gate). With
+// several NEW runs of the same code it gates each benchmark's fastest
+// ns_per_op and its largest allocs_per_op and bytes_per_op.
 package main
 
 import (
@@ -49,7 +51,7 @@ func main() {
 		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 		benchJSON  = flag.String("benchjson", "", "measure the simulator micro-benchmarks and write BENCH_simcore.json-style output to this file")
-		cmp        = flag.Bool("cmp", false, "compare two -benchjson files: hibench -cmp OLD NEW (exits non-zero on >10% ns/op, allocs/op, or B/op regressions)")
+		cmp        = flag.Bool("cmp", false, "compare -benchjson files: hibench -cmp OLD NEW [NEW...] gates the minimum ns/op and the maximum allocs/op and B/op over the NEW runs (exits non-zero on >10% regressions)")
 		nsDelta    = flag.Float64("nsdelta", 0, "-cmp ns/op regression threshold (0 = the default 0.10; allocs/op and B/op always gate at 0.10 — widen this on noisy shared machines where timings flap but allocation counts stay exact)")
 		cacheFile  = flag.String("cachefile", "", "persistent result cache: load completed simulations from this file and append fresh ones, so a repeated run at the same fidelity starts warm")
 		shards     = flag.Int("shards", 0, "engine cache shard count, a power of two (0 = default)")
@@ -61,11 +63,11 @@ func main() {
 	}
 
 	if *cmp {
-		if flag.NArg() != 2 {
-			fmt.Fprintln(os.Stderr, "hibench -cmp: want exactly two arguments: OLD NEW")
+		if flag.NArg() < 2 {
+			fmt.Fprintln(os.Stderr, "hibench -cmp: want at least two arguments: OLD NEW [NEW...]")
 			os.Exit(1)
 		}
-		runBenchCmp(flag.Arg(0), flag.Arg(1), *nsDelta)
+		runBenchCmp(flag.Arg(0), flag.Args()[1:], *nsDelta)
 		return
 	}
 

@@ -147,6 +147,10 @@ func main() {
 		out.MILPNodes, out.LPIterations, out.MILPWarmSolves, out.MILPColdSolves, out.MILPRefactorizations)
 	fmt.Printf("presolve:     %d vars fixed, %d rows dropped, %d coefs tightened; %d parallel dives\n",
 		out.PresolveFixedVars, out.PresolveDroppedRows, out.PresolveTightenedCoefs, out.MILPParallelDives)
+	if out.MILPStaleRedos > 0 || out.MILPDiscardedPivots > 0 || out.MILPIterationCaps > 0 {
+		fmt.Printf("MILP redos:   %d stale redos, %d pivots discarded, %d pivot-capped LP runs\n",
+			out.MILPStaleRedos, out.MILPDiscardedPivots, out.MILPIterationCaps)
+	}
 	fmt.Printf("engine:       %s\n", out.Engine)
 	fmt.Printf("α-terminated: %v\n", out.TerminatedByAlpha)
 	if opts.Robust.Enabled {

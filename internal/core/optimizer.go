@@ -124,6 +124,14 @@ type Outcome struct {
 	PresolveDroppedRows    int
 	PresolveTightenedCoefs int
 	MILPParallelDives      int
+	// MILPStaleRedos counts warm MILP attempts thrown away and redone
+	// (stale kernel, failed dive, clone fallback); MILPDiscardedPivots is
+	// the simplex pivots they cost, on top of LPIterations.
+	// MILPIterationCaps counts warm LP runs that stopped at their pivot
+	// cap. All three are 0 under ColdMILP.
+	MILPStaleRedos      int
+	MILPDiscardedPivots int
+	MILPIterationCaps   int
 	// TerminatedByAlpha reports whether the α bound (line 5 of
 	// Algorithm 1) stopped the search before MILP exhaustion.
 	TerminatedByAlpha bool
@@ -548,6 +556,9 @@ func (o *Optimizer) RunCtx(ctx context.Context) (*Outcome, error) {
 		out.MILPColdSolves += agg.ColdSolves
 		out.MILPRefactorizations += agg.Refactorizations
 		out.MILPParallelDives += agg.ParallelDives
+		out.MILPStaleRedos += agg.StaleRedos
+		out.MILPDiscardedPivots += agg.DiscardedPivots
+		out.MILPIterationCaps += agg.IterationCaps
 		out.PresolveFixedVars = agg.PresolveFixed
 		out.PresolveDroppedRows = agg.PresolveDropped
 		out.PresolveTightenedCoefs = agg.PresolveTightened

@@ -14,8 +14,10 @@
 //     refactorEvery pivots (and whenever the row set changes), which
 //     bounds both eta fill and numerical drift;
 //   - Devex-lite row pricing weights each basic infeasibility by an
-//     approximate steepest-edge norm, falling back to Bland's rule on
-//     the same schedule as the dense kernel;
+//     approximate steepest-edge norm; after blandAfter pivots it falls
+//     back to the first violated row position. Unlike the dense
+//     kernel's dual Bland rule (smallest basic column index), that
+//     fallback carries no anti-cycling guarantee;
 //   - basic values are recomputed from the resting bounds at every
 //     Solve (one FTRAN) instead of being translated incrementally, so
 //     bound and RHS mutations are O(1) bookkeeping.
@@ -534,8 +536,8 @@ func (s *SparseSolver) dual() Status {
 	maxIter := 200 * (s.m + N + 10)
 	blandAfter := 20 * (s.m + N + 10)
 	for iter := 0; iter < maxIter; iter++ {
-		// Leaving position: Devex-weighted most-violated basic
-		// (Bland: first violated).
+		// Leaving position: Devex-weighted most-violated basic (past
+		// blandAfter: the first violated position, not Bland's rule).
 		r, below := -1, false
 		bestScore := 0.0
 		for i := 0; i < s.m; i++ {
@@ -724,6 +726,7 @@ func (s *SparseSolver) dual() Status {
 		}
 	}
 	s.stats.Pivots += maxIter
+	s.stats.IterationCaps++
 	return IterationLimit
 }
 

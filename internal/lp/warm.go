@@ -68,6 +68,10 @@ type SolverStats struct {
 	// eta-file resets plus row-set changes). Always zero on the dense
 	// kernel, which has no factorization to maintain.
 	Refactorizations int
+	// IterationCaps counts dual-simplex runs that stopped at their pivot
+	// cap (a cycling or stalled run). Their pivots are wasted: a capped
+	// warm run is retried cold, a capped cold run poisons the solver.
+	IterationCaps int
 }
 
 // Solver is a persistent bounded-variable dual-simplex solver attached to
@@ -112,6 +116,10 @@ type Solver struct {
 	// WantDuals requests ShadowPrices on returned Solutions (off by
 	// default: branch-and-bound has no use for them).
 	WantDuals bool
+
+	// blandAlways prices by the dual Bland rule from the first pivot
+	// (tests only: it exercises the anti-cycling branch on every solve).
+	blandAlways bool
 }
 
 // NewSolver attaches a solver to p. Every structural variable must have
@@ -471,25 +479,48 @@ func (s *Solver) pivot(r, e int, bnd float64) {
 
 // dual runs the dual simplex to primal feasibility. It returns Optimal,
 // Infeasible, or IterationLimit.
+//
+// The leaving row is the most-violated basic. Under pool no-good cuts
+// the optimum slab is highly degenerate, and most-violated pricing can
+// cycle there: pivot after pivot with a zero ratio-test step, up to the
+// iteration cap. So once more than m consecutive pivots have been
+// degenerate (step ≤ 1e-12), pricing switches to the dual Bland rule:
+// the violated basic with the smallest column index leaves, and the
+// ratio test's smallest-index tie-break picks the entering column. That
+// pair cannot cycle. The next non-degenerate pivot restores
+// most-violated pricing; past blandAfter pivots Bland pricing stays on.
 func (s *Solver) dual() Status {
 	N := s.n + s.m
 	maxIter := 200 * (s.m + N + 10)
 	blandAfter := 20 * (s.m + N + 10)
+	if s.blandAlways {
+		blandAfter = 0
+	}
+	stall := 0 // consecutive degenerate pivots
 	for iter := 0; iter < maxIter; iter++ {
-		// Leaving row: most-violated basic (Bland: first violated).
 		r, below := -1, false
-		worst := Tolerance
-		for i := 0; i < s.m; i++ {
-			b := s.basis[i]
-			if v := s.lo[b] - s.xB[i]; v > worst {
-				worst, r, below = v, i, true
-				if iter >= blandAfter {
-					break
+		if iter >= blandAfter || stall > s.m {
+			// Dual Bland: smallest basic column index among the violated.
+			first := N
+			for i := 0; i < s.m; i++ {
+				b := s.basis[i]
+				if b >= first {
+					continue
 				}
-			} else if v := s.xB[i] - s.hi[b]; v > worst {
-				worst, r, below = v, i, false
-				if iter >= blandAfter {
-					break
+				if s.lo[b]-s.xB[i] > Tolerance {
+					first, r, below = b, i, true
+				} else if s.xB[i]-s.hi[b] > Tolerance {
+					first, r, below = b, i, false
+				}
+			}
+		} else {
+			worst := Tolerance
+			for i := 0; i < s.m; i++ {
+				b := s.basis[i]
+				if v := s.lo[b] - s.xB[i]; v > worst {
+					worst, r, below = v, i, true
+				} else if v := s.xB[i] - s.hi[b]; v > worst {
+					worst, r, below = v, i, false
 				}
 			}
 		}
@@ -548,6 +579,11 @@ func (s *Solver) dual() Status {
 			s.stats.Pivots += iter
 			return Infeasible
 		}
+		if best <= 1e-12 {
+			stall++
+		} else {
+			stall = 0
+		}
 		bnd := s.lo[s.basis[r]]
 		if !below {
 			bnd = s.hi[s.basis[r]]
@@ -555,6 +591,7 @@ func (s *Solver) dual() Status {
 		s.pivot(r, e, bnd)
 	}
 	s.stats.Pivots += maxIter
+	s.stats.IterationCaps++
 	return IterationLimit
 }
 

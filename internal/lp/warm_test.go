@@ -43,8 +43,10 @@ func randomBoxLP(seed uint64, nv, nc int) *linexpr.Compiled {
 }
 
 // kernelCase names one warm-start core; the property tests below run
-// identically against both, keeping the dense path a correctness oracle
-// for the sparse one.
+// identically against each, keeping the dense path a correctness oracle
+// for the sparse one. "dense-bland" prices by the dual Bland rule from
+// the first pivot, so the anti-cycling branch, which production reaches
+// only after a degenerate stall, is checked on every solve.
 type kernelCase struct {
 	name string
 	make func(*linexpr.Compiled) (Kernel, error)
@@ -53,6 +55,13 @@ type kernelCase struct {
 func kernelCases() []kernelCase {
 	return []kernelCase{
 		{"dense", func(p *linexpr.Compiled) (Kernel, error) { return NewSolver(p) }},
+		{"dense-bland", func(p *linexpr.Compiled) (Kernel, error) {
+			s, err := NewSolver(p)
+			if err == nil {
+				s.blandAlways = true
+			}
+			return s, err
+		}},
 		{"sparse", func(p *linexpr.Compiled) (Kernel, error) { return NewSparseSolver(p) }},
 	}
 }

@@ -115,6 +115,16 @@ type Solution struct {
 	// ParallelDives counts subtree dive tasks executed by the parallel
 	// pool enumeration (zero when Workers == 0).
 	ParallelDives int
+	// StaleRedos counts warm attempts a State threw away and redid
+	// because a kernel went numerically stale or failed: a Solve or pool
+	// call redone on a fresh solver, a parallel dive redone cold, and a
+	// fall back to the clone-based path. DiscardedPivots is the simplex
+	// pivots those attempts cost; LPIterations counts only the work kept.
+	StaleRedos      int
+	DiscardedPivots int
+	// IterationCaps counts warm LP runs, kept or discarded, that stopped
+	// at their pivot cap (lp.SolverStats.IterationCaps).
+	IterationCaps int
 }
 
 // node is one open branch-and-bound subproblem.

@@ -52,7 +52,9 @@ type diveTask struct {
 	atUpper []bool
 }
 
-// diveResult is one task's enumeration outcome.
+// diveResult is one task's enumeration outcome; only pivots and caps,
+// its kernel's counters, are meaningful when err is set. waste tallies
+// a failed first attempt that the result redid.
 type diveResult struct {
 	pool    []PoolSolution
 	nodes   int
@@ -60,6 +62,9 @@ type diveResult struct {
 	warm    int
 	cold    int
 	refac   int
+	pivots  int
+	caps    int
+	waste   waste
 	err     error
 }
 
@@ -212,12 +217,10 @@ func (st *State) runDive(task diveTask, cutoffRow float64, coldStart bool) diveR
 	agg := &Solution{}
 	var pool []PoolSolution
 	var added []int
-	if err := local.enumerate(agg, &pool, &added, 0, cutoffRow); err != nil {
-		return diveResult{err: err}
-	}
+	err = local.enumerate(agg, &pool, &added, 0, cutoffRow)
 	d := sv.Stats()
-	if d.StaleRebuilds != s0.StaleRebuilds {
-		return diveResult{err: fmt.Errorf("milp: dive kernel went stale")}
+	if err == nil && d.StaleRebuilds != s0.StaleRebuilds {
+		err = fmt.Errorf("milp: dive kernel went stale")
 	}
 	return diveResult{
 		pool:    pool,
@@ -226,6 +229,9 @@ func (st *State) runDive(task diveTask, cutoffRow float64, coldStart bool) diveR
 		warm:    d.WarmSolves - s0.WarmSolves,
 		cold:    d.ColdSolves - s0.ColdSolves,
 		refac:   d.Refactorizations - s0.Refactorizations,
+		pivots:  d.Pivots - s0.Pivots,
+		caps:    d.IterationCaps - s0.IterationCaps,
+		err:     err,
 	}
 }
 
@@ -248,15 +254,25 @@ func (st *State) parallelPool(agg *Solution, cutoffRow float64) ([]PoolSolution,
 		if r.err != nil {
 			// One deterministic retry on a fresh cold clone, mirroring
 			// the sequential stale ladder.
+			failed := waste{1, r.pivots, r.caps}
 			r = st.runDive(tasks[i], cutoffRow, true)
+			r.waste = failed
 		}
 		results[i] = r
 	})
+	// Every dive's work is tallied before any error is returned: a
+	// failed call is redone, and all of its dives are discarded with it.
 	var pool []PoolSolution
+	var firstErr error
 	for i := range results {
 		r := &results[i]
+		st.waste.add(r.waste)
+		st.dives.add(waste{pivots: r.pivots, caps: r.caps})
 		if r.err != nil {
-			return nil, r.err
+			if firstErr == nil {
+				firstErr = r.err
+			}
+			continue
 		}
 		pool = append(pool, r.pool...)
 		agg.Nodes += r.nodes
@@ -264,7 +280,11 @@ func (st *State) parallelPool(agg *Solution, cutoffRow float64) ([]PoolSolution,
 		agg.WarmSolves += r.warm
 		agg.ColdSolves += r.cold
 		agg.Refactorizations += r.refac
+		agg.IterationCaps += r.caps
 		agg.ParallelDives++
+	}
+	if firstErr != nil {
+		return nil, firstErr
 	}
 	if len(pool) == 0 {
 		return nil, fmt.Errorf("milp: parallel enumeration lost the slab's known member")

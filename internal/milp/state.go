@@ -79,6 +79,29 @@ type State struct {
 	pre presolve.Stats
 
 	free []*wnode
+
+	// waste tallies the current call's discarded attempts; dives holds
+	// the pivots and caps of the current attempt's merged parallel dives,
+	// which ran on their own kernels and are lost if the attempt is.
+	waste waste
+	dives waste
+}
+
+// waste tallies warm work thrown away and redone (see
+// Solution.StaleRedos).
+type waste struct{ redos, pivots, caps int }
+
+func (w *waste) add(o waste) {
+	w.redos += o.redos
+	w.pivots += o.pivots
+	w.caps += o.caps
+}
+
+// stamp adds the tally onto a call's result.
+func (w waste) stamp(sol *Solution) {
+	sol.StaleRedos += w.redos
+	sol.DiscardedPivots += w.pivots
+	sol.IterationCaps += w.caps
 }
 
 // bdiff is one branching bound change: variable j constrained to [lo, hi].
@@ -204,6 +227,17 @@ func (st *State) resetSolver() {
 	}
 	st.retired = st.retired[:0]
 	st.infeasibleBasis = false
+}
+
+// discard throws away the current attempt — the kernel's work since s0
+// plus the attempt's merged parallel dives — tallies it, and attaches a
+// fresh solver for the redo. The kernel's counters are read before
+// resetSolver replaces it.
+func (st *State) discard(s0 lp.SolverStats) {
+	d := st.sv.Stats()
+	st.waste.add(waste{1, d.Pivots - s0.Pivots + st.dives.pivots, d.IterationCaps - s0.IterationCaps + st.dives.caps})
+	st.dives = waste{}
+	st.resetSolver()
 }
 
 // freshenAfterInfeasible rebuilds the solver when the previous solve
@@ -426,26 +460,34 @@ func (st *State) Solve() (*Solution, error) {
 	// come from the drifted basis, so the run is discarded and redone on
 	// a fresh solver. A second stale attempt falls through to legacy.
 	st.freshenAfterInfeasible()
+	st.waste, st.dives = waste{}, waste{}
 	for attempt := 0; attempt < 2 && !st.legacy; attempt++ {
 		s0 := st.sv.Stats()
 		sol, err := st.solveWithDive(0)
 		if err != nil {
+			st.discard(s0)
 			break
 		}
 		d := st.sv.Stats()
 		if d.StaleRebuilds != s0.StaleRebuilds {
-			st.resetSolver()
+			st.discard(s0)
 			continue
 		}
 		sol.WarmSolves += d.WarmSolves - s0.WarmSolves
 		sol.ColdSolves += d.ColdSolves - s0.ColdSolves
 		sol.Refactorizations += d.Refactorizations - s0.Refactorizations
+		sol.IterationCaps += d.IterationCaps - s0.IterationCaps
 		st.stampPresolve(sol)
+		st.waste.stamp(sol)
 		st.infeasibleBasis = sol.Status == Infeasible
 		return sol, nil
 	}
-	st.resetSolver()
-	return Solve(st.p, st.opt)
+	sol, err := Solve(st.p, st.opt)
+	if err != nil {
+		return nil, err
+	}
+	st.waste.stamp(sol)
+	return sol, nil
 }
 
 // looseObjBound returns an RHS no point in the root box can exceed for the
@@ -534,6 +576,7 @@ func (st *State) SolvePool(limit int, objTol float64) ([]PoolSolution, *Solution
 		}
 	}
 	st.freshenAfterInfeasible()
+	st.waste, st.dives = waste{}, waste{}
 	if st.legacy {
 		return SolvePool(p, st.opt, limit, objTol)
 	}
@@ -549,12 +592,15 @@ func (st *State) SolvePool(limit int, objTol float64) ([]PoolSolution, *Solution
 	pool, agg, err := st.warmPool(limit, objTol)
 	if err != nil {
 		// Warm kernel failed (stale basis the cold rebuild could not
-		// rescue): rebuild the solver and run the whole call on the
-		// clone-based path. Arena protocol rows are loose, so the legacy
-		// solve sees an equivalent problem.
-		st.resetSolver()
-		return SolvePool(p, st.opt, limit, objTol)
+		// rescue; warmPool has already attached a fresh solver): run the
+		// whole call on the clone-based path. Arena protocol rows are
+		// loose, so the legacy solve sees an equivalent problem.
+		pool, agg, err = SolvePool(p, st.opt, limit, objTol)
+		if err != nil {
+			return nil, nil, err
+		}
 	}
+	st.waste.stamp(agg)
 	return pool, agg, nil
 }
 
@@ -566,15 +612,17 @@ func (st *State) SolvePool(limit int, objTol float64) ([]PoolSolution, *Solution
 // legacy clone-based solve.
 func (st *State) warmPool(limit int, objTol float64) ([]PoolSolution, *Solution, error) {
 	for attempt := 0; attempt < 2; attempt++ {
-		r0 := st.sv.Stats().StaleRebuilds
+		s0 := st.sv.Stats()
+		st.dives = waste{}
 		pool, agg, err := st.warmPoolOnce(limit, objTol)
 		if err != nil {
+			st.discard(s0)
 			return nil, nil, err
 		}
-		if st.sv.Stats().StaleRebuilds == r0 {
+		if st.sv.Stats().StaleRebuilds == s0.StaleRebuilds {
 			return pool, agg, nil
 		}
-		st.resetSolver()
+		st.discard(s0)
 		if st.legacy {
 			break
 		}
@@ -644,6 +692,7 @@ func (st *State) warmPoolOnce(limit int, objTol float64) ([]PoolSolution, *Solut
 	agg.WarmSolves += d.WarmSolves - s0.WarmSolves
 	agg.ColdSolves += d.ColdSolves - s0.ColdSolves
 	agg.Refactorizations += d.Refactorizations - s0.Refactorizations
+	agg.IterationCaps += d.IterationCaps - s0.IterationCaps
 	st.stampPresolve(agg)
 	return pool, agg, nil
 }
