@@ -26,9 +26,9 @@ fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# -timeout 30m: internal/core carries the ~50 s Γ=1 slab known-cost pin
-# (DESIGN.md §14), which the race detector stretches past go test's
-# default 10 m per-package budget on slow boxes.
+# -timeout 30m: internal/core carries the ~15 s Γ=1 slab known-cost pin
+# (DESIGN.md §14); under the race detector the package takes ~7 min on a
+# 2-vCPU box, close to go test's default 10 m per-package budget.
 race:
 	$(GO) test -race -timeout 30m ./internal/engine/ ./internal/core/ ./internal/exhaustive/ ./internal/netsim/ ./internal/fault/ ./internal/lp/ ./internal/lp/presolve/ ./internal/milp/
 	$(GO) test -race -short -timeout 30m ./internal/serve/

@@ -587,7 +587,7 @@ func BenchmarkExtParetoSweep(b *testing.B) {
 // regression pinned by core's TestGammaOneSecondClassSlab: enumerating
 // the degenerate 132-member second power class, where the warm
 // single-tree pool trips its stale-twice guard and falls back to the
-// legacy clone-based enumeration. The ~tens-of-seconds per op ARE the
+// legacy clone-based enumeration. The ~15 s per op ARE the
 // regression being tracked (hisweep -gamma pays this once per sweep) —
 // far too slow for BENCH_simcore.json's repeat-3 protocol, so it is
 // deliberately absent from hibench -benchjson; run it directly with

@@ -25,7 +25,7 @@ import (
 // re-auditing.
 func TestGammaOneSecondClassSlab(t *testing.T) {
 	if testing.Short() {
-		t.Skip("the legacy clone enumeration of the 132-member slab takes ~50 s")
+		t.Skip("the legacy clone enumeration of the 132-member slab takes ~15 s")
 	}
 	pr := design.PaperProblem(0.9)
 	mm, _, err := buildRobustMILP(pr, RobustCompile{Gamma: 1, PDRFloor: 0.83})

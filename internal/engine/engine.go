@@ -47,10 +47,10 @@
 // counts, across shard counts (sharding only changes which mutex guards a
 // key, never what is computed), and across cold-vs-warm runs (snapshot
 // entries store the exact float bits of the in-memory Result). Errors are
-// likewise scheduling-independent: after the first failure the remaining
-// sub-tasks are skipped, each failed request reports its
-// lowest-replication error, and all collected errors are sorted before
-// being joined.
+// likewise scheduling-independent: a failure skips only the sub-tasks
+// behind the lowest-indexed failed one, and the batch reports that
+// lowest failure alone. No sub-task in front of it is ever skipped, so it
+// always runs and fails, whatever the goroutine timing.
 //
 // Sharing one Engine between layers shares its cache: an exhaustive sweep
 // can warm-fill the optimizer's full-fidelity entries, because both
@@ -61,8 +61,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -361,6 +361,11 @@ type Engine struct {
 
 	stats engineStats
 
+	// running counts sub-tasks simulating right now; peakRunning is its
+	// high-water mark, the worker occupancy tests read.
+	running     atomic.Int64
+	peakRunning atomic.Int64
+
 	// spill, when non-nil, receives every freshly simulated cacheable
 	// result for background append to a cache file (see spill.go).
 	spill atomic.Pointer[spillWriter]
@@ -515,10 +520,14 @@ type batch struct {
 	total   int
 	tasks   []task
 
-	failed     atomic.Bool
-	ctxErrOnce sync.Once  // records ctx's error into errs exactly once
-	mu         sync.Mutex // guards results/done reporting, errs, and job state
-	errs       []error
+	// failAt is the lowest index of a failed sub-task (math.MaxInt64
+	// while none has failed). Only sub-tasks behind it are skipped, so
+	// the failure at failAt is a function of the batch, not of timing.
+	failAt     atomic.Int64
+	ctxErrOnce sync.Once  // records ctx's error into ctxErr exactly once
+	mu         sync.Mutex // guards results/done reporting, the errors, and job state
+	failErr    error      // the error of sub-task failAt
+	ctxErr     error
 	done       int
 }
 
@@ -535,12 +544,28 @@ func (b *batch) cancelled() bool {
 		return false
 	}
 	b.ctxErrOnce.Do(func() {
-		b.failed.Store(true)
 		b.mu.Lock()
-		b.errs = append(b.errs, err)
+		b.ctxErr = err
 		b.mu.Unlock()
 	})
 	return true
+}
+
+// skip reports whether sub-task t must not run: the batch context is
+// done, or a sub-task in front of t has failed.
+func (b *batch) skip(t int) bool {
+	return b.cancelled() || int64(t) > b.failAt.Load()
+}
+
+// fail records err as the failure of sub-task t, keeping the one with
+// the lowest index.
+func (b *batch) fail(t int, err error) {
+	b.mu.Lock()
+	if int64(t) < b.failAt.Load() {
+		b.failAt.Store(int64(t))
+		b.failErr = err
+	}
+	b.mu.Unlock()
 }
 
 // isCtxErr reports whether err is (or wraps) the batch context's
@@ -578,10 +603,10 @@ func (e *Engine) EvaluateBatchCtx(ctx context.Context, reqs []Request, onDone fu
 // not the request count; the partials are merged in replication order,
 // keeping results bit-identical to sequential evaluation for any Workers
 // value. onDone, when non-nil, is called under a lock after each
-// completed request with the completed and total counts. After the first
-// failure the remaining sub-tasks are skipped; all collected errors are
-// sorted and joined, so the reported error does not depend on goroutine
-// scheduling.
+// completed request with the completed and total counts. A failed
+// sub-task skips the sub-tasks behind it (in request, then replication
+// order) and the batch returns the lowest-indexed failure alone, so the
+// reported error does not depend on goroutine scheduling.
 func (e *Engine) EvaluateBatchInto(results []*netsim.Result, reqs []Request, onDone func(done, total int)) error {
 	return e.EvaluateBatchIntoCtx(nil, results, reqs, onDone)
 }
@@ -641,6 +666,7 @@ func (e *Engine) EvaluateBatchIntoCtx(ctx context.Context, results []*netsim.Res
 		onDone:  onDone,
 		total:   len(reqs),
 	}
+	b.failAt.Store(math.MaxInt64)
 
 	// Resolution pass, sequential in submission order: answer completed
 	// cache entries (promoting persisted-tier entries on first use),
@@ -711,11 +737,7 @@ func (e *Engine) EvaluateBatchIntoCtx(ctx context.Context, results []*netsim.Res
 		})
 	}
 
-	if len(b.errs) > 0 {
-		sort.Slice(b.errs, func(i, j int) bool { return b.errs[i].Error() < b.errs[j].Error() })
-		return errors.Join(b.errs...)
-	}
-	return nil
+	return errors.Join(b.failErr, b.ctxErr)
 }
 
 // RunDrain fans n index-addressed tasks over min(workers, n) goroutines.
@@ -796,36 +818,31 @@ func (b *batch) worker(claim func() int) {
 		if t < 0 {
 			return
 		}
-		b.cancelled() // fold a done context into the failed state
 		tk := b.tasks[t]
 		if tk.wait != nil {
-			ev = b.waitTask(ev, tk)
+			ev = b.waitTask(ev, t, tk)
 			continue
 		}
-		if b.failed.Load() {
+		if b.skip(t) {
 			// Skip the work but still complete the sub-task, so the job
 			// finalizes (releasing any waiters) and the batch drains.
 			b.completeTask(tk.j, tk.rep, nil, 0, nil, true)
 			continue
 		}
+		n := e.running.Add(1)
+		for p := e.peakRunning.Load(); n > p && !e.peakRunning.CompareAndSwap(p, n); p = e.peakRunning.Load() {
+		}
 		res, ran, err, poisoned := b.runTask(ev, tk.j, tk.rep)
+		e.running.Add(-1)
 		if poisoned {
 			// The evaluator panicked mid-run; its kernel state is suspect.
 			ev = netsim.NewEvaluator()
 		}
-		if err != nil {
-			b.failed.Store(true)
+		if err != nil && !b.isCtxErr(err) {
+			b.fail(t, err)
 		}
 		b.completeTask(tk.j, tk.rep, res, ran, err, false)
 	}
-}
-
-// fail marks the batch failed and records err.
-func (b *batch) fail(err error) {
-	b.failed.Store(true)
-	b.mu.Lock()
-	b.errs = append(b.errs, err)
-	b.mu.Unlock()
 }
 
 // waitTask resolves one dedup sub-task: wait for the foreign leader of
@@ -845,12 +862,13 @@ func (b *batch) fail(err error) {
 //     fail another tenant's identical concurrent request.
 //
 // It returns the (possibly replaced) evaluator the worker should keep.
-func (b *batch) waitTask(ev *netsim.Evaluator, tk task) *netsim.Evaluator {
+// t is the sub-task's index in the batch.
+func (b *batch) waitTask(ev *netsim.Evaluator, t int, tk task) *netsim.Evaluator {
 	e := b.e
 	en := tk.wait
 	for {
-		if b.failed.Load() {
-			// The batch is doomed; don't block on a foreign leader.
+		if b.skip(t) {
+			// The sub-task is doomed; don't block on a foreign leader.
 			return ev
 		}
 		select {
@@ -881,12 +899,13 @@ func (b *batch) waitTask(ev *netsim.Evaluator, tk task) *netsim.Evaluator {
 		if !errors.Is(err, errAborted) {
 			// A real evaluation failure: every batch sharing the key
 			// reports it.
-			b.fail(err)
+			b.fail(t, err)
 			return ev
 		}
-		if b.failed.Load() {
-			// The abort came from this batch's own failure (or our
-			// context's cancellation); its root cause is already recorded.
+		if b.skip(t) {
+			// The abort came from this batch's own failure in front of t
+			// (or our context's cancellation); its root cause is already
+			// recorded.
 			return ev
 		}
 		// Foreign abort: re-resolve the key.
@@ -921,7 +940,7 @@ func (b *batch) waitTask(ev *netsim.Evaluator, tk task) *netsim.Evaluator {
 		// hit — the fresh simulation below counts under Simulated, keeping
 		// the submitted = simulated+cache+dedup+disk identity intact.
 		e.stats.dedupHits.Add(-1)
-		return b.leadRetry(ev, req, en, tk.idx)
+		return b.leadRetry(ev, t, req, en, tk.idx)
 	}
 }
 
@@ -929,8 +948,8 @@ func (b *batch) waitTask(ev *netsim.Evaluator, tk task) *netsim.Evaluator {
 // itself to leader, publishing the result (or failure) exactly like
 // finalizeJob. A failure caused by this batch's own cancellation is
 // published to other waiters as errAborted — retryable — never as this
-// tenant's context error.
-func (b *batch) leadRetry(ev *netsim.Evaluator, req *Request, en *entry, idx int) *netsim.Evaluator {
+// tenant's context error. t is the sub-task's index in the batch.
+func (b *batch) leadRetry(ev *netsim.Evaluator, t int, req *Request, en *entry, idx int) *netsim.Evaluator {
 	e := b.e
 	res, ran, err, poisoned := b.runRetry(ev, req)
 	if poisoned {
@@ -950,7 +969,7 @@ func (b *batch) leadRetry(ev *netsim.Evaluator, req *Request, en *entry, idx int
 		if b.isCtxErr(err) {
 			b.cancelled()
 		} else {
-			b.fail(err)
+			b.fail(t, err)
 		}
 		return ev
 	}
@@ -1140,13 +1159,7 @@ func (b *batch) finalizeJob(j *job) {
 		j.en.err = err
 		close(j.en.done)
 	}
-	if j.err != nil {
-		if b.isCtxErr(j.err) {
-			b.cancelled() // records ctx's error exactly once
-		} else {
-			b.mu.Lock()
-			b.errs = append(b.errs, j.err)
-			b.mu.Unlock()
-		}
+	if j.err != nil && b.isCtxErr(j.err) {
+		b.cancelled() // records ctx's error exactly once
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"hiopt/internal/netsim"
 )
@@ -334,8 +335,11 @@ func TestRepParallelMergeMatchesRunAveraged(t *testing.T) {
 
 // TestReplicationFanOutOccupiesWorkers is the Workers-plumbing
 // regression: a single-point batch with runs=8 must fan its replications
-// across up to 8 workers (peak goroutines reach base + workers, like
-// exhaustive's O(Workers) test), instead of serializing inside one.
+// across up to 8 workers, instead of serializing inside one. The engine
+// itself records the peak number of sub-tasks running at once. The
+// request's Pre hook, which the first replication runs while the others
+// wait for it, holds until all 8 have started, so the peak does not
+// depend on how the scheduler interleaves short replications.
 func TestReplicationFanOutOccupiesWorkers(t *testing.T) {
 	const workers, runs = 8, 8
 	e, err := New(workers)
@@ -343,38 +347,17 @@ func TestReplicationFanOutOccupiesWorkers(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfigs()[0]
-	cfg.Duration = 400 // long enough for the monitor to observe the pool
-	base := int64(runtime.NumGoroutine())
-	var peakG atomic.Int64
-	stop := make(chan struct{})
-	monitorDone := make(chan struct{})
-	go func() {
-		defer close(monitorDone)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			g := int64(runtime.NumGoroutine())
-			for {
-				p := peakG.Load()
-				if g <= p || peakG.CompareAndSwap(p, g) {
-					break
-				}
-			}
-			runtime.Gosched()
+	pre := func() {
+		for deadline := time.Now().Add(10 * time.Second); e.running.Load() < workers && time.Now().Before(deadline); {
+			time.Sleep(100 * time.Microsecond)
 		}
-	}()
-	res, err := e.EvaluateBatch([]Request{{Cfg: cfg, Runs: runs, Seed: 1}}, nil)
-	close(stop)
-	<-monitorDone
+	}
+	res, err := e.EvaluateBatch([]Request{{Cfg: cfg, Runs: runs, Seed: 1, Pre: pre}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// base + the monitor itself + the `workers` pool goroutines.
-	if p := peakG.Load(); p < base+1+workers {
-		t.Fatalf("goroutine peak %d vs baseline %d: 8 replications did not occupy %d workers", p, base, workers)
+	if p := e.peakRunning.Load(); p < workers {
+		t.Fatalf("peak of %d concurrently running replications: 8 replications did not occupy %d workers", p, workers)
 	}
 	if s := e.Stats(); s.Simulated != 1 || s.SimRuns != runs {
 		t.Fatalf("stats = %+v, want 1 simulated / %d runs", s, runs)

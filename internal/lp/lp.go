@@ -96,6 +96,12 @@ type varMap struct {
 
 // Solve optimizes the LP relaxation of p (integrality flags are ignored).
 func Solve(p *linexpr.Compiled) (*Solution, error) {
+	return solveWith(p, (*tableau).pivot)
+}
+
+// solveWith is Solve with the Gauss–Jordan pivot passed in, so tests can
+// run a reference pivot through the same two phases.
+func solveWith(p *linexpr.Compiled, pivot func(t *tableau, r, c int)) (*Solution, error) {
 	for i := 0; i < p.NumVars; i++ {
 		if p.Lo[i] > p.Hi[i]+Tolerance {
 			return &Solution{Status: Infeasible}, nil
@@ -245,7 +251,7 @@ func Solve(p *linexpr.Compiled) (*Solution, error) {
 			phase1[j] = 1
 		}
 		t.setObjective(phase1, basis)
-		st, iters := t.iterate(basis, total)
+		st, iters := t.iterate(basis, total, pivot)
 		sol.Iterations += iters
 		if st != Optimal {
 			sol.Status = st
@@ -265,7 +271,7 @@ func Solve(p *linexpr.Compiled) (*Solution, error) {
 			pivoted := false
 			for j := 0; j < artStart; j++ {
 				if math.Abs(t.a[i][j]) > 1e-7 {
-					t.pivot(i, j)
+					pivot(t, i, j)
 					basis[i] = j
 					pivoted = true
 					break
@@ -285,7 +291,7 @@ func Solve(p *linexpr.Compiled) (*Solution, error) {
 	phase2 := make([]float64, total)
 	copy(phase2, obj)
 	t.setObjective(phase2, basis)
-	st, iters := t.iterate(basis, artStart) // artificials may not enter
+	st, iters := t.iterate(basis, artStart, pivot) // artificials may not enter
 	sol.Iterations += iters
 	if st != Optimal {
 		sol.Status = st
@@ -362,6 +368,8 @@ type tableau struct {
 	// z is the reduced-cost row; zv the (negated) objective value cell.
 	z  []float64
 	zv float64
+	// nz is pivot scratch: the nonzero columns of the scaled pivot row.
+	nz []int32
 }
 
 func newTableau(m, n int) *tableau {
@@ -372,6 +380,7 @@ func newTableau(m, n int) *tableau {
 		t.a[i] = buf[i*(n+1) : (i+1)*(n+1)]
 	}
 	t.z = make([]float64, n+1)
+	t.nz = make([]int32, 0, n+1)
 	return t
 }
 
@@ -401,8 +410,14 @@ func (t *tableau) pivot(r, c int) {
 	pr := t.a[r]
 	pv := pr[c]
 	inv := 1 / pv
+	// Eliminate over the scaled pivot row's nonzero columns (RHS
+	// included) only; see Solver.pivot for why skipping zeros is exact.
+	nz := t.nz[:0]
 	for j := 0; j <= t.n; j++ {
 		pr[j] *= inv
+		if pr[j] != 0 {
+			nz = append(nz, int32(j))
+		}
 	}
 	pr[c] = 1 // counter rounding
 	for i := 0; i < t.m; i++ {
@@ -414,14 +429,14 @@ func (t *tableau) pivot(r, c int) {
 			continue
 		}
 		row := t.a[i]
-		for j := 0; j <= t.n; j++ {
+		for _, j := range nz {
 			row[j] -= f * pr[j]
 		}
 		row[c] = 0
 	}
 	f := t.z[c]
 	if f != 0 {
-		for j := 0; j <= t.n; j++ {
+		for _, j := range nz {
 			t.z[j] -= f * pr[j]
 		}
 		t.z[c] = 0
@@ -431,8 +446,8 @@ func (t *tableau) pivot(r, c int) {
 
 // iterate runs simplex pivots until optimality, unboundedness, or the
 // iteration cap. Columns >= colLimit are barred from entering (used to keep
-// artificials out during phase 2).
-func (t *tableau) iterate(basis []int, colLimit int) (Status, int) {
+// artificials out during phase 2). pivot is (*tableau).pivot outside tests.
+func (t *tableau) iterate(basis []int, colLimit int, pivot func(t *tableau, r, c int)) (Status, int) {
 	maxIter := 200 * (t.m + t.n + 10)
 	blandAfter := 20 * (t.m + t.n + 10)
 	for iter := 0; iter < maxIter; iter++ {
@@ -474,7 +489,7 @@ func (t *tableau) iterate(basis []int, colLimit int) (Status, int) {
 		if leave < 0 {
 			return Unbounded, iter
 		}
-		t.pivot(leave, enter)
+		pivot(t, leave, enter)
 		basis[leave] = enter
 	}
 	return IterationLimit, maxIter

@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"hiopt/internal/linexpr"
 )
@@ -110,6 +111,10 @@ type Solver struct {
 	basis []int
 	xB    []float64
 
+	// nz is pivot scratch: the nonzero columns of the scaled pivot row.
+	// Its capacity tracks N, so a pivot never allocates.
+	nz []int32
+
 	built bool // a valid basis/tableau exists
 	stats SolverStats
 
@@ -120,6 +125,9 @@ type Solver struct {
 	// blandAlways prices by the dual Bland rule from the first pivot
 	// (tests only: it exercises the anti-cycling branch on every solve).
 	blandAlways bool
+	// refPivot, when set, runs in place of pivot (tests only: a reference
+	// kernel checked bit for bit against the production one).
+	refPivot func(r, e int, bnd float64)
 }
 
 // NewSolver attaches a solver to p. Every structural variable must have
@@ -267,6 +275,7 @@ func (s *Solver) ingestRow(arenaRow int) {
 	for i := 0; i < s.m; i++ {
 		s.t[i] = append(s.t[i], 0)
 	}
+	s.nz = slices.Grow(s.nz[:0], sc+1)
 	// New tableau row: original coefficients, eliminated against the
 	// current basis. One pass suffices because t[i][basis[k]] = δ_ik.
 	w := make([]float64, sc+1)
@@ -383,6 +392,9 @@ func (s *Solver) rebuild() {
 		s.t = make([][]float64, s.m)
 	}
 	s.t = s.t[:s.m]
+	if cap(s.nz) < N {
+		s.nz = make([]int32, 0, N)
+	}
 	for i := 0; i < s.m; i++ {
 		if cap(s.t[i]) < N {
 			s.t[i] = make([]float64, N)
@@ -450,11 +462,18 @@ func (s *Solver) pivot(r, e int, bnd float64) {
 	s.basis[r] = e
 	s.pos[e] = r
 	s.xB[r] = ve + dv
-	// Row reduction.
+	// Row reduction over the scaled pivot row's nonzero columns only: a
+	// zero entry would subtract f·(±0), which leaves the target entry
+	// unchanged except possibly for the sign of an exact zero, and no
+	// comparison or divisor depends on that sign (DESIGN.md §10).
 	pr := s.t[r]
 	inv := 1 / te
+	nz := s.nz[:0]
 	for j := range pr {
 		pr[j] *= inv
+		if pr[j] != 0 {
+			nz = append(nz, int32(j))
+		}
 	}
 	pr[e] = 1
 	for i := 0; i < s.m; i++ {
@@ -463,14 +482,14 @@ func (s *Solver) pivot(r, e int, bnd float64) {
 		}
 		row := s.t[i]
 		if f := row[e]; f != 0 {
-			for j := range row {
+			for _, j := range nz {
 				row[j] -= f * pr[j]
 			}
 			row[e] = 0
 		}
 	}
 	if f := s.z[e]; f != 0 {
-		for j := range s.z {
+		for _, j := range nz {
 			s.z[j] -= f * pr[j]
 		}
 		s.z[e] = 0
@@ -588,7 +607,11 @@ func (s *Solver) dual() Status {
 		if !below {
 			bnd = s.hi[s.basis[r]]
 		}
-		s.pivot(r, e, bnd)
+		if s.refPivot != nil {
+			s.refPivot(r, e, bnd)
+		} else {
+			s.pivot(r, e, bnd)
+		}
 	}
 	s.stats.Pivots += maxIter
 	s.stats.IterationCaps++

@@ -42,28 +42,41 @@ func TestGenInstanceFixtureMatches(t *testing.T) {
 	}
 }
 
-// TestSparseKernelBudgetM40 is the PR's scaling claim: on the M=40
-// fixture the sparse kernel solves well inside the test budget, while
-// the dense tableau kernel — same branching, same warm-start ladder —
-// burns more than twice the sparse kernel's wall time AND more than
-// twice its per-iteration cost. The 2x thresholds sit ~5x below the
-// measured gaps, so the test tolerates slow or contended machines.
+// TestSparseKernelBudgetM40 is the scaling claim: on the M=40 fixture
+// the sparse kernel solves well inside the test budget, and it is the
+// cheaper kernel there — the dense tableau kernel, same branching, same
+// warm-start ladder, takes at least 1.25× the sparse kernel's wall time
+// AND at least 1.25× its per-iteration cost. Each kernel's time is the
+// minimum of three solves, which filters out most scheduler noise. The
+// dense kernel eliminates over the pivot row's nonzeros only, which
+// narrowed the measured gaps to 2.4–2.8× (wall) and 1.7–2.4× (per
+// pivot), so 1.25× still leaves room for slow or contended machines.
 func TestSparseKernelBudgetM40(t *testing.T) {
 	p := GenInstance(40, 1)
 	const budget = 5 * time.Second
+	const ratio = 1.25
 
-	t0 := time.Now()
-	aggS, err := NewState(p.Clone(), Options{}).Solve()
-	sparseWall := time.Since(t0)
-	if err != nil {
-		t.Fatal(err)
+	// solve runs three fresh solves and returns the last aggregate and
+	// the fastest wall time.
+	solve := func(opt Options) (*Solution, time.Duration) {
+		var agg *Solution
+		best := time.Duration(math.MaxInt64)
+		for k := 0; k < 3; k++ {
+			t0 := time.Now()
+			a, err := NewState(p.Clone(), opt).Solve()
+			wall := time.Since(t0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !opt.DenseLP && wall > budget {
+				t.Fatalf("sparse kernel blew the %v budget: %v", budget, wall)
+			}
+			agg, best = a, min(best, wall)
+		}
+		return agg, best
 	}
-	t0 = time.Now()
-	aggD, err := NewState(p.Clone(), Options{DenseLP: true}).Solve()
-	denseWall := time.Since(t0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	aggS, sparseWall := solve(Options{})
+	aggD, denseWall := solve(Options{DenseLP: true})
 
 	if aggS.Status != Optimal || aggD.Status != Optimal {
 		t.Fatalf("status sparse %v dense %v", aggS.Status, aggD.Status)
@@ -74,16 +87,13 @@ func TestSparseKernelBudgetM40(t *testing.T) {
 	if aggS.Refactorizations == 0 {
 		t.Fatal("sparse kernel reported zero refactorizations on a ~1000-iteration solve")
 	}
-	if sparseWall > budget {
-		t.Fatalf("sparse kernel blew the %v budget: %v", budget, sparseWall)
-	}
-	if denseWall < 2*sparseWall {
-		t.Fatalf("dense kernel not budget-bound: dense %v < 2x sparse %v", denseWall, sparseWall)
+	if denseWall.Seconds() < ratio*sparseWall.Seconds() {
+		t.Fatalf("dense kernel not budget-bound: dense %v < %.2fx sparse %v", denseWall, ratio, sparseWall)
 	}
 	perS := sparseWall.Seconds() / float64(aggS.LPIterations)
 	perD := denseWall.Seconds() / float64(aggD.LPIterations)
-	if perD < 2*perS {
-		t.Fatalf("per-iteration cost: dense %.3gs < 2x sparse %.3gs", perD, perS)
+	if perD < ratio*perS {
+		t.Fatalf("per-iteration cost: dense %.3gs < %.2fx sparse %.3gs", perD, ratio, perS)
 	}
 	t.Logf("sparse %v (%d iters), dense %v (%d iters), wall ratio %.1fx, per-iter ratio %.1fx",
 		sparseWall, aggS.LPIterations, denseWall, aggD.LPIterations, denseWall.Seconds()/sparseWall.Seconds(), perD/perS)

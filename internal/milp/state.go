@@ -130,7 +130,7 @@ type wnode struct {
 // kernel choice switches from the dense tableau to the sparse revised
 // simplex. Below it the dense solver's cache-resident quadratic pivot
 // update wins (the paper instance sits at ~100); above it the sparse
-// kernel's nonzeros-proportional pivots win by a widening margin (~9x
+// kernel's nonzeros-proportional pivots win by a widening margin (~2x
 // per pivot at the M=40 generator instance's ~1050).
 const sparseKernelThreshold = 400
 
