@@ -149,7 +149,8 @@ type ParetoPoint = core.ParetoPoint
 
 // ParetoFront sweeps Algorithm 1 across reliability bounds (nil selects
 // 50%..100%) and returns the lifetime-versus-reliability trade-off curve,
-// sharing one simulation cache across the sweep.
+// sharing one simulation cache and one record of solved MILP power
+// classes across the sweep.
 func ParetoFront(pr *Problem, bounds []float64, opts OptimizerOptions) ([]ParetoPoint, error) {
 	return core.ParetoFront(pr, bounds, opts)
 }

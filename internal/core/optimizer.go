@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync"
 	"time"
 
 	"hiopt/internal/design"
@@ -106,9 +107,13 @@ type Outcome struct {
 	// simulated time. With a shared engine (Options.Engine) it still
 	// covers only this run's traffic.
 	Engine engine.Stats
-	// MILPNodes and LPIterations aggregate solver effort. MILPWarmSolves
-	// and MILPColdSolves split the LP solves into warm dual-simplex
-	// re-starts vs cold tableau rebuilds (both zero under ColdMILP).
+	// MILPNodes and LPIterations aggregate the solver effort of this
+	// run's MILP oracle chain. MILPWarmSolves and MILPColdSolves split the
+	// LP solves into warm dual-simplex re-starts vs cold tableau rebuilds
+	// (both zero under ColdMILP). A class replayed from the optimizer's
+	// class record counts here, and in every MILP and presolve counter
+	// below, with the effort recorded when it was solved, so all of them
+	// read the same as on a fresh optimizer.
 	MILPNodes      int
 	LPIterations   int
 	MILPWarmSolves int
@@ -132,6 +137,15 @@ type Outcome struct {
 	MILPStaleRedos      int
 	MILPDiscardedPivots int
 	MILPIterationCaps   int
+	// MILPReplayedClasses counts the oracle calls of this run answered
+	// from the optimizer's class record instead of a fresh SolvePool (a
+	// later run over the same relaxation, e.g. the second and later
+	// bounds of a ParetoFront); MILPReplayedPivots is the simplex pivots
+	// those calls cost when they were solved. The pivots this run
+	// actually spent are LPIterations − MILPReplayedPivots. Both are 0
+	// on a fresh optimizer and under ColdMILP.
+	MILPReplayedClasses int
+	MILPReplayedPivots  int
 	// TerminatedByAlpha reports whether the α bound (line 5 of
 	// Algorithm 1) stopped the search before MILP exhaustion.
 	TerminatedByAlpha bool
@@ -373,6 +387,13 @@ type Optimizer struct {
 	// the gate band must cover every bound the sweep will enforce, so a
 	// gated stop can never flip a feasibility verdict.
 	fullGate *netsim.Gate
+
+	// rec is the class record of the last warm run (classrecord.go):
+	// later runs over the same relaxation replay its classes instead of
+	// solving them again. recMu guards the pointer; the record guards
+	// its own contents.
+	recMu sync.Mutex
+	rec   *classRecord
 }
 
 // NewOptimizer builds an optimizer with the given options.
@@ -509,14 +530,15 @@ func (o *Optimizer) RunCtx(ctx context.Context) (*Outcome, error) {
 	work := mm.model.Compile()
 	out := &Outcome{Status: Infeasible}
 	// The MILP oracle keeps one warm solver state across iterations: the
-	// pruning cuts appended by the Update step below are ingested into
-	// its live tableau instead of forcing a from-scratch tree.
-	var milpState *milp.State
-	if !o.Options.ColdMILP {
-		milpState = milp.NewState(work, milp.Options{
-			DenseLP: o.Options.DenseMILP,
-			Workers: o.Options.MILPWorkers,
-		})
+	// pruning cuts of the Update step are ingested into its live tableau
+	// instead of forcing a from-scratch tree. The state lives in the
+	// optimizer's class record, so a run over a relaxation an earlier run
+	// already walked replays those classes and solves only past them.
+	var next classOracle
+	if o.Options.ColdMILP {
+		next = o.coldOracle(mm, work)
+	} else {
+		next = o.classRecord(mm, work).oracle(o)
 	}
 	pMin := math.Inf(1) // P̄_min: best simulated power of a feasible config
 	progress := o.Options.Progress
@@ -539,37 +561,23 @@ func (o *Optimizer) RunCtx(ctx context.Context) (*Outcome, error) {
 			out.Status = StatusBudgetExceeded
 			break
 		}
-		var pool []milp.PoolSolution
-		var agg *milp.Solution
-		var err error
-		if milpState != nil {
-			pool, agg, err = milpState.SolvePool(o.Options.PoolLimit, 1e-6)
-		} else {
-			pool, agg, err = milp.SolvePool(work, milp.Options{}, o.Options.PoolLimit, 1e-6)
-		}
+		cls, replayed, err := next(iter)
 		if err != nil {
 			return nil, err
 		}
-		out.MILPNodes += agg.Nodes
-		out.LPIterations += agg.LPIterations
-		out.MILPWarmSolves += agg.WarmSolves
-		out.MILPColdSolves += agg.ColdSolves
-		out.MILPRefactorizations += agg.Refactorizations
-		out.MILPParallelDives += agg.ParallelDives
-		out.MILPStaleRedos += agg.StaleRedos
-		out.MILPDiscardedPivots += agg.DiscardedPivots
-		out.MILPIterationCaps += agg.IterationCaps
-		out.PresolveFixedVars = agg.PresolveFixed
-		out.PresolveDroppedRows = agg.PresolveDropped
-		out.PresolveTightenedCoefs = agg.PresolveTightened
+		out.addSolve(&cls.agg)
+		if replayed {
+			out.MILPReplayedClasses++
+			out.MILPReplayedPivots += cls.agg.LPIterations
+		}
 
-		if agg.Status != milp.Optimal || len(pool) == 0 {
+		if cls.exhausted {
 			// Line 4/5: no further candidates. Either infeasible overall
 			// or the incumbent is the proven optimum.
-			progress("iter %d: MILP exhausted (%s)", iter, agg.Status)
+			progress("iter %d: MILP exhausted (%s)", iter, cls.agg.Status)
 			break
 		}
-		pStar := agg.Objective
+		pStar := cls.pStar
 		if !o.Options.DisableAlphaBound && out.Best != nil && pStar/o.alpha(out.Best.Point) > pMin {
 			// Line 5: even after the α correction, every remaining
 			// candidate must simulate above the incumbent.
@@ -578,17 +586,11 @@ func (o *Optimizer) RunCtx(ctx context.Context) (*Outcome, error) {
 			break
 		}
 
-		// Decode and defensively verify the pool.
-		points := make([]design.Point, len(pool))
-		for i, ps := range pool {
-			if err := milp.CheckFeasible(work, ps.X, 1e-6); err != nil {
-				return nil, fmt.Errorf("core: MILP returned infeasible pool member: %v", err)
-			}
-			if err := mm.checkExactness(o.Problem, ps.X); err != nil {
-				return nil, err
-			}
-			points[i] = mm.decode(ps.X)
+		// The pool was decoded and defensively verified when it was solved.
+		if cls.err != nil {
+			return nil, cls.err
 		}
+		points := cls.points
 
 		// Line 7: RunSim over the candidate set (parallel, cached).
 		evals, stats, err := o.simulateAll(ctx, points)
@@ -646,11 +648,11 @@ func (o *Optimizer) RunCtx(ctx context.Context) (*Outcome, error) {
 		}
 		out.Iterations = append(out.Iterations, it)
 		progress("iter %d: P̄*=%.4g mW, pool=%d, feasible=%d, P̄min=%.4g",
-			iter, pStar, len(pool), it.FeasibleCount, pMin)
+			iter, pStar, len(points), it.FeasibleCount, pMin)
 		if o.Options.OnIteration != nil {
 			ev := IterationEvent{
 				Iter: iter, PBarStar: pStar,
-				PoolSize: len(pool), FeasibleCount: it.FeasibleCount,
+				PoolSize: len(points), FeasibleCount: it.FeasibleCount,
 			}
 			if out.Best != nil {
 				ev.BestPowerMW = pMin
@@ -658,12 +660,27 @@ func (o *Optimizer) RunCtx(ctx context.Context) (*Outcome, error) {
 			}
 			o.Options.OnIteration(ev)
 		}
-
-		// Line 11: Update(P̃, P̄ > P̄*) — prune the explored power class.
-		work.AddExprRow(fmt.Sprintf("prune_%d", iter), mm.objective, linexpr.GE, pStar+o.Options.CutEpsilonMW)
+		// Line 11, Update(P̃, P̄ > P̄*), prunes the explored power class:
+		// the oracle adds the cut before it solves the next round.
 	}
 	out.Engine = o.eng.Stats().Sub(engStart)
 	return out, nil
+}
+
+// addSolve adds one oracle call's effort to the outcome's MILP counters.
+func (out *Outcome) addSolve(agg *milp.Solution) {
+	out.MILPNodes += agg.Nodes
+	out.LPIterations += agg.LPIterations
+	out.MILPWarmSolves += agg.WarmSolves
+	out.MILPColdSolves += agg.ColdSolves
+	out.MILPRefactorizations += agg.Refactorizations
+	out.MILPParallelDives += agg.ParallelDives
+	out.MILPStaleRedos += agg.StaleRedos
+	out.MILPDiscardedPivots += agg.DiscardedPivots
+	out.MILPIterationCaps += agg.IterationCaps
+	out.PresolveFixedVars = agg.PresolveFixed
+	out.PresolveDroppedRows = agg.PresolveDropped
+	out.PresolveTightenedCoefs = agg.PresolveTightened
 }
 
 // simStats aggregates the cost of one simulateAll batch.
@@ -1071,9 +1088,14 @@ type ParetoPoint struct {
 
 // ParetoFront runs Algorithm 1 across a sweep of reliability bounds and
 // returns the resulting lifetime-versus-reliability trade-off curve (the
-// arrows of the paper's Fig. 3). All runs share one simulation cache —
-// a configuration's simulated metrics do not depend on PDRMin — so the
-// sweep costs far less than independent optimizations.
+// arrows of the paper's Fig. 3). All runs share one optimizer, and with
+// it one simulation cache — a configuration's simulated metrics do not
+// depend on PDRMin — and one class record: the relaxation P̃ does not
+// depend on PDRMin either (unless a Γ proposal's robust floor follows
+// it), so each power class is solved once, at the first bound that
+// reaches it, and replayed at the others. Every bound's Outcome is still
+// bit-identical to an independent run's; its MILPReplayedClasses and
+// MILPReplayedPivots say how much of its chain came from the record.
 //
 // The problem's PDRMin field is overwritten during the sweep and left at
 // the last bound.

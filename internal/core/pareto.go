@@ -416,7 +416,7 @@ func (sw *sweeper) warmBound(ctx context.Context, b float64) (*Candidate, error)
 			break
 		}
 		pStar := agg.Objective
-		points, err := sw.decodePool(sw.mm, sw.work, pool)
+		points, err := sw.o.decodePool(sw.mm, sw.work, pool)
 		if err != nil {
 			return nil, err
 		}
@@ -473,7 +473,7 @@ func (sw *sweeper) coldBound(ctx context.Context, b float64) (*Candidate, error)
 		if sw.alphaStop(best, pMin, pStar, b) {
 			break
 		}
-		points, err := sw.decodePool(mm, work, pool)
+		points, err := sw.o.decodePool(mm, work, pool)
 		if err != nil {
 			return nil, err
 		}
@@ -486,7 +486,7 @@ func (sw *sweeper) coldBound(ctx context.Context, b float64) (*Candidate, error)
 			sel[i] = i
 		}
 		updateIncumbent(sw.buildCandidates(&cls, sel, b), &pMin, &best)
-		work.AddExprRow(fmt.Sprintf("prune_%d", iter), mm.objective, linexpr.GE, pStar+o.Options.CutEpsilonMW)
+		pruneCut(mm, work, iter, pStar, o.Options.CutEpsilonMW)
 	}
 	return best, nil
 }
@@ -504,15 +504,17 @@ func (sw *sweeper) countSolve(agg *milp.Solution) {
 	sw.res.MILPColdSolves += agg.ColdSolves
 }
 
-// decodePool decodes and defensively verifies a solution pool, exactly
-// as RunCtx does.
-func (sw *sweeper) decodePool(mm *milpModel, work *linexpr.Compiled, pool []milp.PoolSolution) ([]design.Point, error) {
+// decodePool decodes a solution pool and defensively verifies every
+// member against the arena it was solved on: the arena's rows and
+// integrality (CheckFeasible) and the linearized objective against
+// AnalyticPower (checkExactness).
+func (o *Optimizer) decodePool(mm *milpModel, work *linexpr.Compiled, pool []milp.PoolSolution) ([]design.Point, error) {
 	points := make([]design.Point, len(pool))
 	for i, ps := range pool {
 		if err := milp.CheckFeasible(work, ps.X, 1e-6); err != nil {
 			return nil, fmt.Errorf("core: MILP returned infeasible pool member: %v", err)
 		}
-		if err := mm.checkExactness(sw.o.Problem, ps.X); err != nil {
+		if err := mm.checkExactness(o.Problem, ps.X); err != nil {
 			return nil, err
 		}
 		points[i] = mm.decode(ps.X)

@@ -305,11 +305,12 @@ func (e *Engine) SaveCache(path string, sig uint64) (int, error) {
 }
 
 // LoadCache reads a cache file into the persisted tier and returns the
-// number of entries loaded. It never fails a run: a missing file, an
-// unrecognized or version-bumped header, or a context-signature mismatch
-// load zero entries with a nil error; corrupt entries are skipped
-// individually; a truncated tail keeps everything before it. Loaded
-// entries answer requests as disk hits and do not re-spill.
+// number of distinct keys it added to that tier. It never fails a run: a
+// missing file, an unrecognized or version-bumped header, or a
+// context-signature mismatch load zero entries with a nil error; corrupt
+// entries are skipped individually; a truncated tail keeps everything
+// before it. Loaded entries answer requests as disk hits and do not
+// re-spill.
 func (e *Engine) LoadCache(path string, sig uint64) (int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -326,8 +327,13 @@ func (e *Engine) LoadCache(path string, sig uint64) (int, error) {
 		sh := e.shard(k)
 		sh.mu.Lock()
 		if _, ok := sh.done[k]; !ok {
+			// A key repeated in the file (appended twice to a spill, or
+			// written by two interleaved writers) counts once: the later
+			// entry replaces the earlier one.
+			if _, dup := sh.disk[k]; !dup {
+				loaded++
+			}
 			sh.disk[k] = r
-			loaded++
 		}
 		sh.mu.Unlock()
 	})

@@ -163,6 +163,40 @@ func TestLoadCacheCorruptEntrySkippedEntryWise(t *testing.T) {
 	}
 }
 
+// TestLoadCacheCountsDuplicateKeysOnce: a file whose entries appear
+// twice (a snapshot's entries appended to itself) loads each key once,
+// and the count LoadCache reports equals the keys that answer Cached.
+func TestLoadCacheCountsDuplicateKeysOnce(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cache.bin")
+	total := len(coldCache(t, path))
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = append(data, data[snapHeaderLen:]...)
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e, _ := New(1)
+	n, err := e.LoadCache(path, testSig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cached := 0
+	for _, r := range testRequests(true) {
+		if e.Cached(r.Key) {
+			cached++
+		}
+	}
+	if n != total || cached != total {
+		t.Fatalf("LoadCache(every entry twice) = %d entries, %d keys cached, want %d and %d", n, cached, total, total)
+	}
+	// Loading the same file again adds no key the tier does not hold.
+	if n, err := e.LoadCache(path, testSig()); err != nil || n != 0 {
+		t.Fatalf("reloading = (%d, %v), want (0, nil)", n, err)
+	}
+}
+
 func TestLoadCacheTruncatedTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "cache.bin")
 	total := len(coldCache(t, path))

@@ -13,6 +13,7 @@ package linexpr
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -435,6 +436,41 @@ func (c *Compiled) Clone() *Compiled {
 		out.Rows[i] = CompiledRow{Name: r.Name, Coefs: append([]float64(nil), r.Coefs...), Sense: r.Sense, RHS: r.RHS, Skip: r.Skip}
 	}
 	return out
+}
+
+// Equal reports whether two compiled problems are identical bit for bit:
+// every float is compared by its IEEE-754 bits (so 0 and −0 differ, and a
+// NaN equals the same NaN), and names and row tags must match too. It is
+// the cache key check for callers that reuse solver work across
+// compilations of one model.
+func (c *Compiled) Equal(d *Compiled) bool {
+	if c.NumVars != d.NumVars || c.Negated != d.Negated || len(c.Rows) != len(d.Rows) ||
+		math.Float64bits(c.ObjConst) != math.Float64bits(d.ObjConst) ||
+		!bitsEqual(c.Obj, d.Obj) || !bitsEqual(c.Lo, d.Lo) || !bitsEqual(c.Hi, d.Hi) ||
+		!slices.Equal(c.Integer, d.Integer) || !slices.Equal(c.Names, d.Names) {
+		return false
+	}
+	for i, r := range c.Rows {
+		s := d.Rows[i]
+		if r.Name != s.Name || r.Sense != s.Sense || r.Skip != s.Skip ||
+			math.Float64bits(r.RHS) != math.Float64bits(s.RHS) || !bitsEqual(r.Coefs, s.Coefs) {
+			return false
+		}
+	}
+	return true
+}
+
+// bitsEqual reports whether two float slices hold the same bit patterns.
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // String renders the model in a human-readable LP-like format, useful in

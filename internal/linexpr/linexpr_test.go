@@ -246,6 +246,41 @@ func TestAddRowAndClone(t *testing.T) {
 	}
 }
 
+// TestCompiledEqual: a clone is Equal to its source, and each kind of
+// difference a reused compilation could hide — a coefficient, a
+// right-hand side's sign of zero, a bound, a name, a row tag, an extra
+// row — makes it unequal.
+func TestCompiledEqual(t *testing.T) {
+	m := NewModel()
+	x := m.Binary("x")
+	y := m.NewVar("y", Continuous, 0, 4)
+	m.SetObjective(TermOf(x, 1).PlusTerm(y, 2), false)
+	m.Add("r", TermOf(x, 1).PlusTerm(y, 1), LE, 3)
+	m.Add("s", TermOf(y, 1), GE, 0)
+	m.Protect(1)
+	c := m.Compile()
+	if !c.Equal(c.Clone()) {
+		t.Fatal("clone not Equal to its source")
+	}
+	mutations := map[string]func(d *Compiled){
+		"coef":      func(d *Compiled) { d.Rows[0].Coefs[1] = math.Nextafter(1, 2) },
+		"-0 rhs":    func(d *Compiled) { d.Rows[1].RHS = math.Copysign(0, -1) },
+		"bound":     func(d *Compiled) { d.Hi[1] = 5 },
+		"objective": func(d *Compiled) { d.Obj[0] = 3 },
+		"name":      func(d *Compiled) { d.Names[0] = "z" },
+		"skip":      func(d *Compiled) { d.Rows[1].Skip = false },
+		"sense":     func(d *Compiled) { d.Rows[0].Sense = GE },
+		"row":       func(d *Compiled) { d.AddRow("cut", []float64{1, 0}, GE, 1) },
+	}
+	for name, mut := range mutations {
+		d := c.Clone()
+		mut(d)
+		if c.Equal(d) || d.Equal(c) {
+			t.Errorf("%s: mutated clone still Equal", name)
+		}
+	}
+}
+
 func TestAddExprRowFoldsConstant(t *testing.T) {
 	m := NewModel()
 	x := m.Binary("x")

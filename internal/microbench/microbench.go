@@ -59,6 +59,7 @@ var All = []Bench{
 	{"milp_gamma_cold", chainBench(gammaSweepChain, false)},
 	{"pareto_warm_front", paretoFront(true)},
 	{"pareto_cold_front", paretoFront(false)},
+	{"core_pareto_front", coreParetoFront},
 }
 
 // --- simulator substrates ---
@@ -681,4 +682,51 @@ func paretoFront(warm bool) func(*testing.B) {
 		points := float64(len(paretoFrontBounds()))
 		b.ReportMetric(points/(b.Elapsed().Seconds()/float64(b.N)), "points/sec")
 	}
+}
+
+// coreParetoFront is one 9-bound reliability–lifetime front through
+// core.ParetoFront per op — the path of hiopt.ParetoFront and the
+// perfbench front workload — on the paper problem at a 2 s horizon, one
+// run, bounds 0.50 → 0.82 in steps of 0.04, on a fresh engine so every op
+// simulates the same work. The optimizer's class record solves each power
+// class once and replays it at the other bounds: pivots/op counts the
+// pivots actually solved (LPIterations − MILPReplayedPivots over the
+// bounds), which must equal the deepest bound's chain, and
+// replayed_classes/op the oracle calls answered from the record.
+func coreParetoFront(b *testing.B) {
+	bounds := make([]float64, 9)
+	for i := range bounds {
+		bounds[i] = 0.50 + 0.04*float64(i)
+	}
+	b.ReportAllocs()
+	var pivots, replayed, solved int
+	for i := 0; i < b.N; i++ {
+		pr := design.PaperProblem(bounds[0])
+		pr.Duration = 2
+		pr.Runs = 1
+		eng, err := engine.New(0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		front, err := core.ParetoFront(pr, bounds, core.Options{Engine: eng})
+		if err != nil {
+			b.Fatal(err)
+		}
+		deepest, spent := 0, 0
+		for _, pt := range front {
+			out := pt.Outcome
+			calls := len(out.Iterations) + 1 // + the α-terminating or exhausting call
+			spent += out.LPIterations - out.MILPReplayedPivots
+			deepest = max(deepest, out.LPIterations)
+			replayed += out.MILPReplayedClasses
+			solved += calls - out.MILPReplayedClasses
+		}
+		if spent != deepest {
+			b.Fatalf("front solved %d pivots, its deepest bound's chain costs %d", spent, deepest)
+		}
+		pivots += spent
+	}
+	b.ReportMetric(float64(pivots)/float64(b.N), "pivots/op")
+	b.ReportMetric(float64(solved)/float64(b.N), "solved_classes/op")
+	b.ReportMetric(float64(replayed)/float64(b.N), "replayed_classes/op")
 }
