@@ -104,9 +104,12 @@ func WriteMPS(w io.Writer, c *linexpr.Compiled, name string) error {
 		case lo == hi:
 			fmt.Fprintf(bw, " FX BND  %s  %s\n", vn[j], mpsNum(lo))
 		default:
+			// A zero lower bound is the default and is left out, except
+			// below a negative upper bound: a reader pulls an unstated
+			// lower bound to -inf there.
 			if math.IsInf(lo, -1) {
 				fmt.Fprintf(bw, " MI BND  %s\n", vn[j])
-			} else if lo != 0 {
+			} else if lo != 0 || hi < 0 {
 				fmt.Fprintf(bw, " LO BND  %s  %s\n", vn[j], mpsNum(lo))
 			}
 			if math.IsInf(hi, 1) {

@@ -1,7 +1,7 @@
 // Sparse revised simplex: the scale-up of the warm-start kernel. The
-// dense Solver (warm.go) carries an explicit m×N tableau and pays
-// O(m × nonzeros of the pivot row) per pivot to keep it current, a
-// row that fills in as the tableau does — fine at the paper's M=10
+// dense Solver (warm.go) carries an explicit m×n tableau over the
+// nonbasic columns and pays O(m × n) per pivot to keep it current, rows
+// that fill in as B⁻¹ does — fine at the paper's M=10
 // relaxations (~35 vars, ~65 rows), a wall at the M=40+ instances the
 // ROADMAP targets. A SparseSolver keeps the same bounded-variable
 // dual-simplex semantics but represents the basis as a sparse LU

@@ -37,7 +37,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 
 	"hiopt/internal/linexpr"
 )
@@ -99,21 +98,26 @@ type Solver struct {
 	sense    []linexpr.Sense
 
 	// Column state over N = n+m columns: structurals 0..n-1, then the
-	// slack of live row r at column n+r.
+	// slack of live row r at column n+r. A column is either basic, in
+	// tableau row pos[j], or nonbasic, in tableau slot slot[j]; the other
+	// map holds -1.
 	lo, hi  []float64
 	atUpper []bool
-	z       []float64 // reduced costs (internal minimization sense)
-	pos     []int     // column -> tableau row where it is basic, or -1
+	pos     []int
+	slot    []int
 
-	// Tableau: t[i] is row i of B⁻¹[A I] over the N columns; basis[i] is
-	// the column basic in row i and xB[i] its current value.
+	// Tableau over the nonbasic columns only. Exactly n of the N columns
+	// are nonbasic at any time, so each row has n slots: col[k] is the
+	// column in slot k, t[i][k] is entry (i, col[k]) of B⁻¹[A I] and z[k]
+	// its reduced cost (internal minimization sense). A basic column's
+	// tableau column is the unit vector e_pos and its reduced cost is 0,
+	// so neither is stored. basis[i] is the column basic in row i and
+	// xB[i] its current value.
 	t     [][]float64
+	z     []float64
+	col   []int
 	basis []int
 	xB    []float64
-
-	// nz is pivot scratch: the nonzero columns of the scaled pivot row.
-	// Its capacity tracks N, so a pivot never allocates.
-	nz []int32
 
 	built bool // a valid basis/tableau exists
 	stats SolverStats
@@ -125,9 +129,9 @@ type Solver struct {
 	// blandAlways prices by the dual Bland rule from the first pivot
 	// (tests only: it exercises the anti-cycling branch on every solve).
 	blandAlways bool
-	// refPivot, when set, runs in place of pivot (tests only: a reference
-	// kernel checked bit for bit against the production one).
-	refPivot func(r, e int, bnd float64)
+	// pivoted, when set, runs after every pivot (tests only: a full-width
+	// reference solver is checked against the tableau bit for bit).
+	pivoted func()
 }
 
 // NewSolver attaches a solver to p. Every structural variable must have
@@ -142,10 +146,10 @@ func NewSolver(p *linexpr.Compiled) (*Solver, error) {
 	s.lo = append(s.lo, p.Lo...)
 	s.hi = append(s.hi, p.Hi...)
 	s.atUpper = make([]bool, s.n)
-	s.z = make([]float64, s.n)
 	s.pos = make([]int, s.n)
+	s.slot = make([]int, s.n)
 	for j := range s.pos {
-		s.pos[j] = -1
+		s.pos[j], s.slot[j] = -1, -1
 	}
 	return s, nil
 }
@@ -166,7 +170,7 @@ func (s *Solver) ReducedCost(j int) float64 {
 	if !s.built || s.pos[j] >= 0 {
 		return 0
 	}
-	return s.z[j]
+	return s.z[s.slot[j]]
 }
 
 // colVal is the current value of column j.
@@ -186,23 +190,24 @@ func (s *Solver) colVal(j int) float64 {
 // so the next Solve is a warm re-solve.
 func (s *Solver) SetVarBounds(j int, lo, hi float64) {
 	if s.built && s.pos[j] < 0 {
+		k := s.slot[j]
 		old := s.colVal(j)
 		s.lo[j], s.hi[j] = lo, hi
 		// Re-rest the variable on the side its reduced cost requires.
-		// While j was fixed (lo == hi) pivots may have driven z[j] to
+		// While j was fixed (lo == hi) pivots may have driven z[k] to
 		// either sign; after the fix is relaxed the old resting side can
 		// be dual infeasible, which would make the next dual() run stop
 		// at a suboptimal point.
 		if lo != hi {
-			if s.z[j] > Tolerance {
+			if s.z[k] > Tolerance {
 				s.atUpper[j] = false
-			} else if s.z[j] < -Tolerance {
+			} else if s.z[k] < -Tolerance {
 				s.atUpper[j] = true
 			}
 		}
 		if d := s.colVal(j) - old; d != 0 {
 			for i := 0; i < s.m; i++ {
-				s.xB[i] -= s.t[i][j] * d
+				s.xB[i] -= s.t[i][k] * d
 			}
 		}
 		return
@@ -225,8 +230,13 @@ func (s *Solver) SetRowRHS(arenaRow int, rhs float64) {
 		return
 	}
 	sc := s.n + r
+	if p := s.pos[sc]; p >= 0 {
+		s.xB[p] += d // a basic slack's column is e_p
+		return
+	}
+	k := s.slot[sc]
 	for i := 0; i < s.m; i++ {
-		s.xB[i] += s.t[i][sc] * d
+		s.xB[i] += s.t[i][k] * d
 	}
 }
 
@@ -265,33 +275,40 @@ func (s *Solver) ingestRow(arenaRow int) {
 	s.lo = append(s.lo, slo)
 	s.hi = append(s.hi, shi)
 	s.atUpper = append(s.atUpper, false)
-	s.z = append(s.z, 0)
 	s.pos = append(s.pos, -1)
+	s.slot = append(s.slot, -1)
 	if !s.built {
 		s.m++
 		return
 	}
-	// Extend every live tableau row with the new slack column.
-	for i := 0; i < s.m; i++ {
-		s.t[i] = append(s.t[i], 0)
+	// New tableau row: the original coefficients of the nonbasic columns
+	// (a slack's is 0), eliminated against the current basis in basis-row
+	// order. One pass suffices because basic columns are unit columns, so
+	// the multiplier of row i is the row's own coefficient on basis[i].
+	// A spare row buffer past the end of t (DropRow leaves one there) is
+	// reused.
+	var w []float64
+	if len(s.t) < cap(s.t) {
+		w = s.t[:len(s.t)+1][len(s.t)]
 	}
-	s.nz = slices.Grow(s.nz[:0], sc+1)
-	// New tableau row: original coefficients, eliminated against the
-	// current basis. One pass suffices because t[i][basis[k]] = δ_ik.
-	w := make([]float64, sc+1)
-	copy(w, row.Coefs)
-	for i := 0; i < s.m; i++ {
-		f := w[s.basis[i]]
-		if f == 0 {
+	if cap(w) < s.n {
+		w = make([]float64, s.n)
+	}
+	w = w[:s.n]
+	for k, j := range s.col {
+		w[k] = 0
+		if j < s.n {
+			w[k] = row.Coefs[j]
+		}
+	}
+	for i, b := range s.basis {
+		if b >= s.n {
 			continue
 		}
-		ti := s.t[i]
-		for j := range ti {
-			w[j] -= f * ti[j]
+		if f := row.Coefs[b]; f != 0 {
+			subScaled(w, s.t[i], f)
 		}
-		w[s.basis[i]] = 0
 	}
-	w[sc] = 1
 	// Slack value in original coordinates: s = b − a·x.
 	v := row.RHS
 	for j := 0; j < s.n; j++ {
@@ -319,43 +336,27 @@ func (s *Solver) DropRow(arenaRow int) bool {
 		return true // already dropped
 	}
 	sc := s.n + r
-	if !s.built {
-		// No live tableau: the slack-column state is whatever rebuild will
-		// overwrite anyway, so deleting entry r from the row arrays and
-		// entry sc from the column arrays is the whole job. This is how a
-		// fresh solver sheds rows that died on a previous solver before it
-		// ever pays for them in the basis.
-		s.z = append(s.z[:sc], s.z[sc+1:]...)
-		s.lo = append(s.lo[:sc], s.lo[sc+1:]...)
-		s.hi = append(s.hi[:sc], s.hi[sc+1:]...)
-		s.atUpper = append(s.atUpper[:sc], s.atUpper[sc+1:]...)
-		s.pos = s.pos[:len(s.pos)-1]
-		s.rhs = append(s.rhs[:r], s.rhs[r+1:]...)
-		s.sense = append(s.sense[:r], s.sense[r+1:]...)
-		s.arenaIdx = append(s.arenaIdx[:r], s.arenaIdx[r+1:]...)
-		s.rowOf[arenaRow] = -1
-		for _, a := range s.arenaIdx[r:] {
-			s.rowOf[a]--
+	if s.built {
+		rb := s.pos[sc]
+		if rb < 0 {
+			return false
 		}
-		s.m--
-		s.stats.RowsDropped++
-		return true
+		// Deleting an equation whose slack is basic: the slack's column is
+		// e_rb, so no other tableau row references it and removing tableau
+		// row rb yields exactly the reduced basis inverse. The slots are
+		// untouched. The dropped row's buffer moves past the end for
+		// ingestRow to reuse, so no two rows ever share one.
+		dropped := s.t[rb]
+		copy(s.t[rb:], s.t[rb+1:])
+		s.t[len(s.t)-1] = dropped
+		s.t = s.t[:len(s.t)-1]
+		s.xB = append(s.xB[:rb], s.xB[rb+1:]...)
+		s.basis = append(s.basis[:rb], s.basis[rb+1:]...)
 	}
-	rb := s.pos[sc]
-	if rb < 0 {
-		return false
-	}
-	// Deleting an equation whose slack is basic: the slack's column is
-	// e_rb, so no other tableau row references it and removing tableau
-	// row rb plus column sc yields exactly the reduced basis inverse.
-	s.t = append(s.t[:rb], s.t[rb+1:]...)
-	s.xB = append(s.xB[:rb], s.xB[rb+1:]...)
-	s.basis = append(s.basis[:rb], s.basis[rb+1:]...)
-	for i := range s.t {
-		ti := s.t[i]
-		s.t[i] = append(ti[:sc], ti[sc+1:]...)
-	}
-	s.z = append(s.z[:sc], s.z[sc+1:]...)
+	// Without a live tableau the slack-column state is whatever rebuild
+	// will overwrite anyway, so the bookkeeping below is the whole job.
+	// This is how a fresh solver sheds rows that died on a previous solver
+	// before it ever pays for them in the basis.
 	s.lo = append(s.lo[:sc], s.lo[sc+1:]...)
 	s.hi = append(s.hi[:sc], s.hi[sc+1:]...)
 	s.atUpper = append(s.atUpper[:sc], s.atUpper[sc+1:]...)
@@ -368,62 +369,68 @@ func (s *Solver) DropRow(arenaRow int) bool {
 		s.rowOf[a]--
 	}
 	s.m--
-	// Column indices above sc shifted down by one.
 	s.pos = s.pos[:s.n+s.m]
+	s.slot = s.slot[:s.n+s.m]
+	s.stats.RowsDropped++
+	if !s.built {
+		return true
+	}
+	// Column ids above sc shift down by one.
 	for j := range s.pos {
-		s.pos[j] = -1
+		s.pos[j], s.slot[j] = -1, -1
 	}
 	for i, b := range s.basis {
 		if b > sc {
-			s.basis[i] = b - 1
+			b--
+			s.basis[i] = b
 		}
-		s.pos[s.basis[i]] = i
+		s.pos[b] = i
 	}
-	s.stats.RowsDropped++
+	for k, j := range s.col {
+		if j > sc {
+			j--
+			s.col[k] = j
+		}
+		s.slot[j] = k
+	}
 	return true
 }
 
 // rebuild constructs the all-slack tableau from the arena rows and the
 // solver's current bound/RHS state, resting each structural variable on
-// the bound matching its cost sign so the start is dual feasible.
+// the bound matching its cost sign so the start is dual feasible. The
+// structurals are nonbasic, so slot k holds column k.
 func (s *Solver) rebuild() {
-	N := s.n + s.m
 	if cap(s.t) < s.m {
 		s.t = make([][]float64, s.m)
 	}
 	s.t = s.t[:s.m]
-	if cap(s.nz) < N {
-		s.nz = make([]int32, 0, N)
-	}
 	for i := 0; i < s.m; i++ {
-		if cap(s.t[i]) < N {
-			s.t[i] = make([]float64, N)
+		if cap(s.t[i]) < s.n {
+			s.t[i] = make([]float64, s.n)
 		}
-		ti := s.t[i][:N]
-		for j := range ti {
-			ti[j] = 0
-		}
-		copy(ti, s.p.Rows[s.arenaIdx[i]].Coefs)
-		ti[s.n+i] = 1
-		s.t[i] = ti
+		s.t[i] = s.t[i][:s.n]
+		copy(s.t[i], s.p.Rows[s.arenaIdx[i]].Coefs)
 	}
 	s.basis = s.basis[:0]
 	s.xB = s.xB[:0]
 	s.pos = s.pos[:0]
-	for j := 0; j < N; j++ {
-		s.pos = append(s.pos, -1)
-	}
+	s.slot = s.slot[:0]
+	s.col = s.col[:0]
 	s.z = s.z[:0]
 	for j := 0; j < s.n; j++ {
 		c := s.p.Obj[j]
+		s.pos = append(s.pos, -1)
+		s.slot = append(s.slot, j)
+		s.col = append(s.col, j)
 		s.z = append(s.z, c)
 		s.atUpper[j] = c < 0
 	}
 	for r := 0; r < s.m; r++ {
-		s.z = append(s.z, 0)
+		s.pos = append(s.pos, r)
+		s.slot = append(s.slot, -1)
 		s.atUpper[s.n+r] = false
 		s.basis = append(s.basis, s.n+r)
-		s.pos[s.n+r] = r
 	}
 	for i := 0; i < s.m; i++ {
 		v := s.rhs[i]
@@ -442,57 +449,61 @@ func (s *Solver) rebuild() {
 	s.built = true
 }
 
-// pivot performs a dual-simplex pivot: the basic variable of row r leaves
-// to bound bnd, column e enters.
+// pivot performs a dual-simplex pivot: the basic variable l of row r
+// leaves to bound bnd, column e enters, and l takes e's slot k. Every
+// entry is computed by the arithmetic of the full-width Gauss–Jordan
+// step: l's column before the pivot is e_r, so its new entries are 1·inv
+// in the pivot row and 0 − f·inv in a row whose entry in e's column is f,
+// and its reduced cost is 0 − z_e·inv. Rows with f == 0 are skipped; a
+// slot whose pivot-row entry is zero still takes row[j] − f·(±0), which
+// can change only the sign of an exact zero (DESIGN.md §10).
 func (s *Solver) pivot(r, e int, bnd float64) {
-	te := s.t[r][e]
+	k := s.slot[e]
+	pr := s.t[r]
+	te := pr[k]
 	dv := (s.xB[r] - bnd) / te
 	ve := s.colVal(e)
-	for i := 0; i < s.m; i++ {
-		if i == r {
-			continue
-		}
-		if f := s.t[i][e]; f != 0 {
-			s.xB[i] -= f * dv
-		}
-	}
 	l := s.basis[r]
-	s.pos[l] = -1
 	s.atUpper[l] = bnd == s.hi[l]
+	s.pos[l], s.slot[l] = -1, k
+	s.pos[e], s.slot[e] = r, -1
 	s.basis[r] = e
-	s.pos[e] = r
+	s.col[k] = l
 	s.xB[r] = ve + dv
-	// Row reduction over the scaled pivot row's nonzero columns only: a
-	// zero entry would subtract f·(±0), which leaves the target entry
-	// unchanged except possibly for the sign of an exact zero, and no
-	// comparison or divisor depends on that sign (DESIGN.md §10).
-	pr := s.t[r]
 	inv := 1 / te
-	nz := s.nz[:0]
 	for j := range pr {
 		pr[j] *= inv
-		if pr[j] != 0 {
-			nz = append(nz, int32(j))
-		}
 	}
-	pr[e] = 1
-	for i := 0; i < s.m; i++ {
+	pr[k] = inv
+	for i, row := range s.t {
 		if i == r {
 			continue
 		}
-		row := s.t[i]
-		if f := row[e]; f != 0 {
-			for _, j := range nz {
-				row[j] -= f * pr[j]
-			}
-			row[e] = 0
+		if f := row[k]; f != 0 {
+			s.xB[i] -= f * dv
+			row[k] = 0
+			subScaled(row, pr, f)
 		}
 	}
-	if f := s.z[e]; f != 0 {
-		for _, j := range nz {
-			s.z[j] -= f * pr[j]
-		}
-		s.z[e] = 0
+	if f := s.z[k]; f != 0 {
+		s.z[k] = 0
+		subScaled(s.z, pr, f)
+	}
+}
+
+// subScaled sets y[j] −= f·x[j] for every j < len(y); len(x) ≥ len(y).
+// The loop is unrolled by four and free of bounds checks.
+func subScaled(y, x []float64, f float64) {
+	for len(y) >= 4 && len(x) >= 4 {
+		y[0] -= f * x[0]
+		y[1] -= f * x[1]
+		y[2] -= f * x[2]
+		y[3] -= f * x[3]
+		y, x = y[4:], x[4:]
+	}
+	x = x[:len(y)]
+	for j := range y {
+		y[j] -= f * x[j]
 	}
 }
 
@@ -552,39 +563,42 @@ func (s *Solver) dual() Status {
 		// at-lower columns with negative row entry or at-upper columns
 		// with positive entry qualify; the symmetric case mirrors the
 		// signs. The minimum |z/α| keeps every reduced cost on its
-		// feasible side; ties break on the smallest column index.
+		// feasible side; ties break on the smallest column index. The
+		// columns are visited in ascending column id, not slot order: the
+		// tie-break below depends on the order of the visit.
 		tr := s.t[r]
 		e := -1
 		best := math.Inf(1)
 		for j := 0; j < N; j++ {
-			if s.pos[j] >= 0 || s.lo[j] == s.hi[j] {
+			k := s.slot[j]
+			if k < 0 || s.lo[j] == s.hi[j] {
 				continue
 			}
-			a := tr[j]
+			a := tr[k]
 			var ratio float64
 			if below {
 				if s.atUpper[j] {
 					if a <= Tolerance {
 						continue
 					}
-					ratio = -s.z[j] / a
+					ratio = -s.z[k] / a
 				} else {
 					if a >= -Tolerance {
 						continue
 					}
-					ratio = s.z[j] / -a
+					ratio = s.z[k] / -a
 				}
 			} else {
 				if s.atUpper[j] {
 					if a >= -Tolerance {
 						continue
 					}
-					ratio = s.z[j] / a
+					ratio = s.z[k] / a
 				} else {
 					if a <= Tolerance {
 						continue
 					}
-					ratio = s.z[j] / a
+					ratio = s.z[k] / a
 				}
 			}
 			if ratio < 0 {
@@ -607,10 +621,9 @@ func (s *Solver) dual() Status {
 		if !below {
 			bnd = s.hi[s.basis[r]]
 		}
-		if s.refPivot != nil {
-			s.refPivot(r, e, bnd)
-		} else {
-			s.pivot(r, e, bnd)
+		s.pivot(r, e, bnd)
+		if s.pivoted != nil {
+			s.pivoted()
 		}
 	}
 	s.stats.Pivots += maxIter
@@ -665,7 +678,9 @@ func (s *Solver) extract() *Solution {
 		}
 		shadow := make([]float64, len(p.Rows))
 		for r := 0; r < s.m; r++ {
-			shadow[s.arenaIdx[r]] = -dir * s.z[s.n+r]
+			if k := s.slot[s.n+r]; k >= 0 {
+				shadow[s.arenaIdx[r]] = -dir * s.z[k]
+			}
 		}
 		sol.ShadowPrices = shadow
 	}

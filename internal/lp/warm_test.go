@@ -276,3 +276,62 @@ func mutatedRef(p *linexpr.Compiled, lo, hi []float64, dropped map[int]bool) *li
 	}
 	return ref
 }
+
+// TestRebuildAfterDropKeepsRowsApart drops a row whose slack is basic,
+// then has the solver lose its tableau (as a poisoned solve does), gain a
+// row and rebuild. Every rebuilt row must own its buffer, and the answer
+// must equal a fresh solver's on the same live rows: DropRow must not
+// leave a second pointer to a live row past the end of the tableau, or
+// such a rebuild hands one buffer to two rows.
+func TestRebuildAfterDropKeepsRowsApart(t *testing.T) {
+	checked := 0
+	for seed := uint64(1); seed <= 100; seed++ {
+		p := randomBoxLP(seed, 6, 6)
+		s, err := NewSolver(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Solve(); err != nil {
+			t.Fatal(err)
+		}
+		// Arena row 0's slack must be basic, above the last tableau row.
+		if rb := s.pos[s.n]; !s.built || rb < 0 || rb == s.m-1 {
+			continue
+		}
+		if !s.DropRow(0) {
+			t.Fatalf("seed %d: DropRow refused a basic slack", seed)
+		}
+		s.built = false // what a poisoned solve leaves
+		coefs := make([]float64, p.NumVars)
+		coefs[1] = 1
+		p.AddRow("", coefs, linexpr.LE, 1e6)
+		got, err := s.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range s.t {
+			for k := i + 1; k < len(s.t); k++ {
+				if &s.t[i][0] == &s.t[k][0] {
+					t.Fatalf("seed %d: tableau rows %d and %d share a buffer", seed, i, k)
+				}
+			}
+		}
+		fresh, err := NewSolver(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh.DropRow(0)
+		want, err := fresh.Solve()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameSolution(got, want); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		checked++
+	}
+	if checked < 20 {
+		t.Fatalf("only %d seeds reached the drop", checked)
+	}
+	t.Logf("%d seeds checked", checked)
+}

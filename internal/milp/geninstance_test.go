@@ -49,10 +49,10 @@ func TestGenInstanceFixtureMatches(t *testing.T) {
 // AND at least 1.25× its per-iteration cost. Each kernel's time is the
 // minimum of five solves, and the two kernels alternate, so a burst of
 // load from other processes lands on both instead of on one kernel's
-// back-to-back block. The dense kernel eliminates over the pivot row's
-// nonzeros only, which narrowed the measured gaps to 2.4–2.8× (wall) and
-// 1.7–2.4× (per pivot), so 1.25× still leaves room for slow or contended
-// machines.
+// back-to-back block. The dense kernel's rows span only the nonbasic
+// columns; over 50 runs at GOMAXPROCS 2 the gaps read 2.1–4.4× (wall)
+// and 1.8–3.7× (per pivot), so 1.25× still leaves room for slow or
+// contended machines.
 func TestSparseKernelBudgetM40(t *testing.T) {
 	p := GenInstance(40, 1)
 	const budget = 5 * time.Second
