@@ -9,9 +9,9 @@
 
 GO ?= go
 
-.PHONY: check build test vet fmt race bench-smoke benchcmp benchcmp-auto engine-smoke robust-smoke milp-smoke gamma-smoke cache-smoke serve-smoke pareto-smoke
+.PHONY: check build test vet fmt race bench-smoke benchcmp benchcmp-auto engine-smoke robust-smoke milp-smoke gamma-smoke cache-smoke serve-smoke pareto-smoke fuzz-smoke
 
-check: build test vet race fmt gamma-smoke serve-smoke pareto-smoke benchcmp-auto
+check: build test vet race fmt gamma-smoke serve-smoke pareto-smoke fuzz-smoke benchcmp-auto
 
 build:
 	$(GO) build ./...
@@ -35,6 +35,19 @@ race:
 
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
+
+# Every native fuzz target (func Fuzz* in a _test.go file) for FUZZTIME,
+# one go test -fuzz call per target: go test fuzzes a single target per
+# call. A failing input is written to the package's testdata/fuzz and
+# fails the target; commit it as a corpus entry once the fault is mended.
+FUZZTIME ?= 10s
+fuzz-smoke:
+	@set -e; for f in $$(grep -rl --include='*_test.go' '^func Fuzz' .); do \
+		for fn in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' $$f); do \
+			echo "$(GO) test -run=NONE -fuzz=^$$fn\$$ -fuzztime=$(FUZZTIME) $$(dirname $$f)"; \
+			$(GO) test -run=NONE -fuzz="^$$fn\$$" -fuzztime=$(FUZZTIME) $$(dirname $$f); \
+		done; \
+	done
 
 # The perf-regression gate: re-measure the simulator micro-benchmarks
 # in-process (hibench -benchjson) and diff against the checked-in
@@ -90,18 +103,20 @@ cache-smoke:
 		else { printf "cache-smoke: warm run re-simulated %s of %s submissions\n", $$4, $$2; ok = 1 } } \
 		END { if (!ok) { print "cache-smoke: no engine stats line in warm output"; exit 1 } }' /tmp/hiopt-cache-warm.out
 
-# The ε-constraint front gate: (a) the warm record-replay sweep must
-# select the exact per-bound optima of independent cold runs at >= 5×
-# fewer simplex pivots (the acceptance property test), and (b) a small
-# hisweep -pareto front run twice must emit byte-identical CSVs (the
-# sweep is deterministic end to end).
+# The ε-constraint front gate: (a) the sweep must select the exact
+# per-bound optima of independent fresh Algorithm 1 runs while its class
+# record solves >= 5× fewer simplex pivots than they do (the acceptance
+# property test), (b) the front CSV of these settings must match the
+# checked-in golden file, and (c) a small hisweep -pareto front run twice
+# must emit byte-identical CSVs (the sweep is deterministic end to end).
 pareto-smoke:
-	$(GO) test -count=1 -run 'TestParetoSweepWarmMatchesCold' -v ./internal/core/
+	$(GO) test -count=1 -run 'TestParetoSweepMatchesFreshRuns' -v ./internal/core/
+	$(GO) test -count=1 -run 'TestFRSmokeCSVGolden' ./internal/experiments/
 	@rm -f /tmp/hiopt-pareto-a.csv /tmp/hiopt-pareto-b.csv
 	$(GO) run ./cmd/hisweep -pareto -duration 10 -bounds 0.5,0.65,0.8 -paretocsv /tmp/hiopt-pareto-a.csv > /dev/null
 	$(GO) run ./cmd/hisweep -pareto -duration 10 -bounds 0.5,0.65,0.8 -paretocsv /tmp/hiopt-pareto-b.csv > /dev/null
 	cmp /tmp/hiopt-pareto-a.csv /tmp/hiopt-pareto-b.csv
-	@echo "pareto-smoke: warm front matches cold, repeated CSV byte-identical"
+	@echo "pareto-smoke: sweep matches fresh runs, CSV matches golden, repeated CSV byte-identical"
 
 # The daemon gate: assemble the real hiserve stack and run three
 # concurrent personalized requests — one cancelled mid-stream — then

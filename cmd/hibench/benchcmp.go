@@ -121,7 +121,7 @@ func compareBench(oldBF, newBF *benchFile, nsThreshold float64, w io.Writer) []s
 // printMetricDeltas reports the custom ReportMetric figures (pivots/op,
 // points/sec, speedup_vs_mutex1, ...) benchmark by benchmark. These are
 // informational only — they carry the benchmarks' semantic claims (how
-// many pivots a warm front costs, how much a gate saved) whose healthy
+// many pivots a front solves, how much a gate saved) whose healthy
 // direction varies per metric, so they never gate; the point is that a
 // -cmp run surfaces their drift instead of silently ignoring them.
 func printMetricDeltas(names []string, oldBF, newBF *benchFile, w io.Writer) {

@@ -10,7 +10,7 @@
 //
 // Experiment identifiers: t1, f1, f3, r1, r2, r3, a1..a11, pf, all, plus
 // rb (nominal-vs-robust comparison), gm (Γ-robust proposer vs
-// screen-and-cut price curve), and fr (warm ε-constraint
+// screen-and-cut price curve), and fr (ε-constraint
 // NLT/PDR/latency front), all excluded from "all" for cost.
 //
 // Performance tooling: -cpuprofile/-memprofile write pprof profiles of
@@ -148,11 +148,11 @@ func main() {
 	if want["gm"] {
 		run("gm", func() error { _, err := suite.Gamma(nil, 0, 8, *csvPath); return err })
 	}
-	// fr enumerates the warm ε-constraint front over the default 16-bound
-	// grid (one full Algorithm 1 enumeration plus incremental re-solves)
-	// — likewise explicit-only.
+	// fr enumerates the ε-constraint front over the default 16-bound grid
+	// (one Algorithm 1 run per bound over the shared class record) —
+	// likewise explicit-only.
 	if want["fr"] {
-		run("fr", func() error { _, err := suite.FR(nil, 0, false, *csvPath); return err })
+		run("fr", func() error { _, err := suite.FR(nil, 0, *csvPath); return err })
 	}
 
 	if eng != nil {

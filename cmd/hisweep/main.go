@@ -8,12 +8,11 @@
 //	hisweep -paper -csv fig3_full.csv # the paper's 600 s × 3 runs
 //	hisweep -robust -kfail 1,2 -robustcsv rb.csv  # nominal-vs-robust comparison
 //	hisweep -gamma 0,1,2,3 -gammacsv gamma.csv    # Γ-robust price curve
-//	hisweep -pareto -paretocsv front.csv          # warm ε-constraint NLT/PDR/latency front
+//	hisweep -pareto -paretocsv front.csv          # ε-constraint NLT/PDR/latency front
 //
 // -pareto replaces the Figure 3 exhaustive sweep with the ε-constraint
-// front study (the sweep's warm-path sharing numbers would be
-// meaningless against an engine pre-filled by exhaustion); -bounds,
-// -latmax, and -paretocold refine it.
+// front study (its engine sharing numbers would be meaningless against
+// an engine pre-filled by exhaustion); -bounds and -latmax refine it.
 package main
 
 import (
@@ -44,11 +43,10 @@ func main() {
 		gammaCSV   = flag.String("gammacsv", "", "write the Γ price curve to this CSV file")
 		gammaIter  = flag.Int("gammaiter", 8, "Algorithm 1 iteration cap per Γ point (0 = unlimited)")
 		robustMin  = flag.Float64("robustpdrmin", 0, "robust reliability floor of the -gamma study (0 = the attainable default)")
-		pareto     = flag.Bool("pareto", false, "run the warm ε-constraint NLT/PDR/latency front study instead of the Figure 3 sweep")
+		pareto     = flag.Bool("pareto", false, "run the ε-constraint NLT/PDR/latency front study instead of the Figure 3 sweep")
 		paretoCSV  = flag.String("paretocsv", "", "write the ε-constraint front to this CSV file")
 		boundsFlag = flag.String("bounds", "", "comma-separated PDRmin bounds of the -pareto sweep (empty = the default 16-point grid)")
 		latMax     = flag.Float64("latmax", 0, "p95 end-to-end latency bound in seconds for -pareto (0 = unbounded)")
-		paretoCold = flag.Bool("paretocold", false, "run the -pareto sweep as independent cold per-bound solves (the A/B baseline)")
 		adaptive   = flag.Bool("adaptive", false, "confidence-gated adaptive evaluation in the -robust comparison and the -pareto sweep (short-circuits decisively infeasible scenario families; gates replications to the swept band)")
 		cacheFile  = flag.String("cachefile", "", "persistent result cache: load completed simulations from this file and append fresh ones, so a repeated sweep at the same fidelity starts warm")
 		shards     = flag.Int("shards", 0, "engine cache shard count, a power of two (0 = default)")
@@ -105,7 +103,7 @@ func main() {
 			}
 			bounds = append(bounds, b)
 		}
-		if _, err := suite.FR(bounds, *latMax, *paretoCold, *paretoCSV); err != nil {
+		if _, err := suite.FR(bounds, *latMax, *paretoCSV); err != nil {
 			fmt.Fprintln(os.Stderr, "hisweep:", err)
 			os.Exit(1)
 		}

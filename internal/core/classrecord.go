@@ -49,6 +49,24 @@ func (o *Optimizer) solveClass(mm *milpModel, work *linexpr.Compiled, solve func
 	return c, nil
 }
 
+// decodePool decodes a solution pool and defensively verifies every
+// member against the arena it was solved on: the arena's rows and
+// integrality (CheckFeasible) and the linearized objective against
+// AnalyticPower (checkExactness).
+func (o *Optimizer) decodePool(mm *milpModel, work *linexpr.Compiled, pool []milp.PoolSolution) ([]design.Point, error) {
+	points := make([]design.Point, len(pool))
+	for i, ps := range pool {
+		if err := milp.CheckFeasible(work, ps.X, 1e-6); err != nil {
+			return nil, fmt.Errorf("core: MILP returned infeasible pool member: %v", err)
+		}
+		if err := mm.checkExactness(o.Problem, ps.X); err != nil {
+			return nil, err
+		}
+		points[i] = mm.decode(ps.X)
+	}
+	return points, nil
+}
+
 // pruneCut appends Algorithm 1's Update(P̃, P̄ > P̄*) row after round i,
 // with strictness margin eps (Options.CutEpsilonMW).
 func pruneCut(mm *milpModel, work *linexpr.Compiled, i int, pStar, eps float64) {

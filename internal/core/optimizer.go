@@ -58,7 +58,8 @@ type Candidate struct {
 	NLTDays float64
 	// Feasible reports PDR >= PDRMin − FeasTol; under robust screening it
 	// additionally requires the scenario-family PDR statistic (worst case
-	// or configured quantile) to clear the same bound.
+	// or configured quantile) to clear the same bound, and in a
+	// ParetoSweep with a LatencyMax the p95 latency to stay within it.
 	Feasible bool
 	// WorstPDR is the lowest PDR across the robust scenario family. It
 	// equals PDR when robust screening is off or when the candidate was
@@ -387,6 +388,10 @@ type Optimizer struct {
 	// the gate band must cover every bound the sweep will enforce, so a
 	// gated stop can never flip a feasibility verdict.
 	fullGate *netsim.Gate
+	// latencyMax, when positive, is the ε-constraint sweep's p95 latency
+	// bound: Run marks a candidate whose simulated p95 latency exceeds it
+	// infeasible.
+	latencyMax float64
 
 	// rec is the class record of the last warm run (classrecord.go):
 	// later runs over the same relaxation replay its classes instead of
@@ -466,13 +471,7 @@ const adaptiveScreenBlocks = 8
 // current best solution's power, keeping the line-5 termination bound
 // conservative.
 func (o *Optimizer) alpha(best design.Point) float64 {
-	return o.alphaAt(best, o.Problem.PDRMin)
-}
-
-// alphaAt is alpha against an explicit reliability bound — the ε-constraint
-// sweep terminates each bound's class walk with the bound being swept, not
-// the problem's pinned PDRMin.
-func (o *Optimizer) alphaAt(best design.Point, pdr float64) float64 {
+	pdr := o.Problem.PDRMin
 	if pdr <= 0 {
 		return 1
 	}
@@ -626,6 +625,9 @@ func (o *Optimizer) RunCtx(ctx context.Context) (*Outcome, error) {
 					out.RobustRejected++
 				}
 				cand.Feasible = cand.Feasible && robustOK
+			}
+			if o.latencyMax > 0 && cand.P95Latency > o.latencyMax {
+				cand.Feasible = false
 			}
 			it.Candidates = append(it.Candidates, cand)
 			if cand.Feasible {
@@ -1103,17 +1105,30 @@ func ParetoFront(pr *design.Problem, bounds []float64, opts Options) ([]ParetoPo
 	if len(bounds) == 0 {
 		bounds = []float64{0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0}
 	}
-	o := NewOptimizer(pr, opts)
-	var front []ParetoPoint
-	for _, b := range bounds {
-		pr.PDRMin = b
-		out, err := o.Run()
+	outs, err := NewOptimizer(pr, opts).runBounds(context.Background(), bounds)
+	if err != nil {
+		return nil, err
+	}
+	front := make([]ParetoPoint, len(bounds))
+	for i, out := range outs {
+		front[i] = ParetoPoint{PDRMin: bounds[i], Best: out.Best, Outcome: out}
+	}
+	return front, nil
+}
+
+// runBounds is the multi-bound Algorithm 1 loop of ParetoFront and
+// ParetoSweep: one run per bound, in the given order, on this optimizer.
+func (o *Optimizer) runBounds(ctx context.Context, bounds []float64) ([]*Outcome, error) {
+	outs := make([]*Outcome, len(bounds))
+	for i, b := range bounds {
+		o.Problem.PDRMin = b
+		out, err := o.RunCtx(ctx)
 		if err != nil {
 			return nil, err
 		}
-		front = append(front, ParetoPoint{PDRMin: b, Best: out.Best, Outcome: out})
+		outs[i] = out
 	}
-	return front, nil
+	return outs, nil
 }
 
 // WriteRelaxationLP renders the MILP relaxation P̃ of a problem in CPLEX

@@ -1,203 +1,76 @@
 package core
 
 import (
-	"math"
+	"context"
 	"testing"
 
 	"hiopt/internal/design"
 	"hiopt/internal/engine"
-	"hiopt/internal/milp"
 )
 
-// paretoPoolSet enumerates the first pool of a cold pareto compilation at
-// floor eps and returns it as a point set.
-func paretoPoolSet(t *testing.T, pr *design.Problem, rc RobustCompile, eps float64) (map[uint32]design.Point, *milp.Solution) {
-	t.Helper()
-	mm, _, err := buildParetoMILP(pr, rc, eps)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, agg, err := milp.NewState(mm.model.Compile(), milp.Options{}).SolvePool(0, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	set := map[uint32]design.Point{}
-	for _, ps := range pool {
-		set[mm.decode(ps.X).Key()] = mm.decode(ps.X)
-	}
-	return set, agg
-}
-
-// TestParetoFloorNominalVacuous: in the nominal compilation (Γ = 0) the
-// floor row's ceilings are all 1, so for any ε <= 1 the pool equals the
-// plain nominal pool — the row rides in the basis without pruning.
-func TestParetoFloorNominalVacuous(t *testing.T) {
-	pr := design.PaperProblem(0.9)
-	mm, err := buildMILP(pr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool, agg, err := milp.NewState(mm.model.Compile(), milp.Options{}).SolvePool(0, 1e-6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	nominal := map[uint32]bool{}
-	for _, ps := range pool {
-		nominal[mm.decode(ps.X).Key()] = true
-	}
-	for _, eps := range []float64{0.5, 0.9, 1.0} {
-		set, pagg := paretoPoolSet(t, pr, RobustCompile{}, eps)
-		if pagg.Status != agg.Status || len(set) != len(nominal) {
-			t.Fatalf("ε=%g: pool %d (%v), nominal %d (%v)", eps, len(set), pagg.Status, len(nominal), agg.Status)
-		}
-		for k := range set {
-			if !nominal[k] {
-				t.Fatalf("ε=%g: member %v not in the nominal pool", eps, set[k])
-			}
-		}
-	}
-}
-
-// TestParetoFloorPrunesNodeCounts: under Γ = 1 protection with the
-// default FailFrac = 0.25, the floor row's ceilings are (n − 0.75)/n, so
-// ε = 0.83 demands n >= 0.75/0.17 ⇒ n >= 5 — 4-node classes must vanish
-// from the pool, matching what the robust availability row does at a
-// frozen 0.83 floor, but reachable by a pure RHS move.
-func TestParetoFloorPrunesNodeCounts(t *testing.T) {
-	pr := design.PaperProblem(0.9)
-	rc := RobustCompile{Gamma: 1, PDRFloor: 0.6}
-	loose, _ := paretoPoolSet(t, pr, rc, 0.6)
-	any4 := false
-	for _, p := range loose {
-		if p.N() == 4 {
-			any4 = true
-		}
-	}
-	if !any4 {
-		t.Fatal("loose floor should admit 4-node designs (test premise)")
-	}
-	tight, agg := paretoPoolSet(t, pr, rc, 0.83)
-	if agg.Status != milp.Optimal || len(tight) == 0 {
-		t.Fatalf("tight floor: status %v, pool %d", agg.Status, len(tight))
-	}
-	for _, p := range tight {
-		if p.N() < 5 {
-			t.Errorf("ε=0.83 pool member %v has %d nodes, floor demands >= 5", p, p.N())
-		}
-	}
-}
-
-// TestParetoRetargetWarmMatchesCold: sweeping the floor on a live warm
-// state via Retarget must enumerate exactly the pools a cold recompile at
-// each ε produces, across an up-down sweep — the correctness contract
-// behind the pareto_warm_front benchmark and hisweep -pareto.
-func TestParetoRetargetWarmMatchesCold(t *testing.T) {
-	pr := design.PaperProblem(0.9)
-	rc := RobustCompile{Gamma: 1, PDRFloor: 0.6}
-	mm, h, err := buildParetoMILP(pr, rc, 0.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := milp.NewState(mm.model.Compile(), milp.Options{})
-	for _, eps := range []float64{0.6, 0.8, 0.83, 0.86, 0.8, 0.6} {
-		h.Retarget(st, eps)
-		pool, agg, err := st.SolvePool(0, 1e-6)
-		if err != nil {
-			t.Fatalf("warm ε=%g: %v", eps, err)
-		}
-		warm := map[uint32]bool{}
-		for _, ps := range pool {
-			warm[mm.decode(ps.X).Key()] = true
-		}
-		cold, coldAgg := paretoPoolSet(t, pr, rc, eps)
-		if agg.Status != coldAgg.Status {
-			t.Fatalf("ε=%g: status %v warm vs %v cold", eps, agg.Status, coldAgg.Status)
-		}
-		if agg.Status == milp.Optimal && math.Abs(agg.Objective-coldAgg.Objective) > 1e-9 {
-			t.Fatalf("ε=%g: objective %g warm vs %g cold", eps, agg.Objective, coldAgg.Objective)
-		}
-		if len(warm) != len(cold) {
-			t.Fatalf("ε=%g: pool %d warm vs %d cold", eps, len(warm), len(cold))
-		}
-		for k := range cold {
-			if !warm[k] {
-				t.Fatalf("ε=%g: cold pool member %v missing from warm pool", eps, cold[k])
-			}
-		}
-	}
-}
-
-// TestParetoSweepWarmMatchesCold is the acceptance property of the
-// ε-constraint driver: the warm record-replay sweep must select exactly
-// the per-bound optima that independent cold Algorithm 1 runs select,
-// while spending at least 5× fewer simplex pivots and answering a
-// majority of candidate scorings from recorded evaluations. The cold
-// pass shares the warm pass's engine, which doubles as the cache-sharing
-// check: it must re-simulate nothing.
-func TestParetoSweepWarmMatchesCold(t *testing.T) {
+// TestParetoSweepMatchesFreshRuns is the acceptance property of the
+// ε-constraint driver: the sweep must select exactly the per-bound optima
+// that independent fresh Algorithm 1 runs select, while its class record
+// keeps the pivots it solves at least 5× below theirs and adjacent bounds
+// share a majority of their evaluations. The fresh runs share the
+// sweep's engine, which doubles as the cache-sharing check: they must
+// re-simulate nothing.
+func TestParetoSweepMatchesFreshRuns(t *testing.T) {
 	bounds := []float64{0.5, 0.56, 0.62, 0.68, 0.74, 0.8, 0.86, 0.92}
 	eng, err := engine.New(0)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	warm, err := ParetoSweep(fastProblem(0.5), SweepOptions{
+	sweep, err := ParetoSweep(context.Background(), fastProblem(0.5), SweepOptions{
 		Bounds:  bounds,
 		Options: Options{Engine: eng},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := ParetoSweep(fastProblem(0.5), SweepOptions{
-		Bounds:  bounds,
-		Cold:    true,
-		Options: Options{Engine: eng},
-	})
-	if err != nil {
-		t.Fatal(err)
+	if len(sweep.Points) != len(bounds) {
+		t.Fatalf("points: %d, want %d", len(sweep.Points), len(bounds))
 	}
-
-	if len(warm.Points) != len(bounds) || len(cold.Points) != len(bounds) {
-		t.Fatalf("points: %d warm, %d cold, want %d", len(warm.Points), len(cold.Points), len(bounds))
-	}
-	for i := range warm.Points {
-		w, c := warm.Points[i], cold.Points[i]
-		if w.PDRMin != c.PDRMin {
-			t.Fatalf("point %d: bound %g warm vs %g cold", i, w.PDRMin, c.PDRMin)
-		}
-		switch {
-		case w.Best == nil && c.Best == nil:
-		case w.Best == nil || c.Best == nil:
-			t.Fatalf("bound %g: best %v warm vs %v cold", w.PDRMin, w.Best, c.Best)
-		case w.Best.Point != c.Best.Point:
-			t.Fatalf("bound %g: best %v warm vs %v cold", w.PDRMin, w.Best.Point, c.Best.Point)
-		case w.Best.PowerMW != c.Best.PowerMW || w.Best.PDR != c.Best.PDR ||
-			w.Best.NLTDays != c.Best.NLTDays || w.Best.P95Latency != c.Best.P95Latency:
-			t.Fatalf("bound %g: metrics differ warm vs cold: %+v vs %+v", w.PDRMin, *w.Best, *c.Best)
-		case w.Dominated != c.Dominated:
-			t.Fatalf("bound %g: dominance %v warm vs %v cold", w.PDRMin, w.Dominated, c.Dominated)
-		}
-	}
-	if len(warm.Front()) == 0 {
+	if len(sweep.Front()) == 0 {
 		t.Fatal("empty front")
 	}
 
-	if warm.LPIterations <= 0 || cold.LPIterations <= 0 {
-		t.Fatalf("pivot counters empty: %d warm, %d cold", warm.LPIterations, cold.LPIterations)
+	engStart := eng.Stats()
+	freshPivots := 0
+	for i, b := range bounds {
+		out, err := NewOptimizer(fastProblem(b), Options{Engine: eng}).Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		freshPivots += out.LPIterations
+		s, f := sweep.Points[i].Best, out.Best
+		switch {
+		case sweep.Points[i].PDRMin != b:
+			t.Fatalf("point %d: bound %g, want %g", i, sweep.Points[i].PDRMin, b)
+		case s == nil && f == nil:
+		case s == nil || f == nil:
+			t.Fatalf("bound %g: best %v sweep vs %v fresh", b, s, f)
+		case s.Point != f.Point || s.PowerMW != f.PowerMW || s.PDR != f.PDR ||
+			s.NLTDays != f.NLTDays || s.P95Latency != f.P95Latency:
+			t.Fatalf("bound %g: best differs sweep vs fresh: %+v vs %+v", b, *s, *f)
+		}
 	}
-	ratio := float64(cold.LPIterations) / float64(warm.LPIterations)
+
+	if sweep.LPIterations <= 0 {
+		t.Fatalf("sweep pivot counter empty: %d", sweep.LPIterations)
+	}
+	ratio := float64(freshPivots) / float64(sweep.LPIterations)
+	t.Logf("pivots: %d fresh, %d sweep (%.1f×); sweep engine: %s", freshPivots, sweep.LPIterations, ratio, sweep.Engine)
 	if ratio < 5 {
-		t.Errorf("pivot ratio cold/warm = %.1f (%d/%d), want >= 5",
-			ratio, cold.LPIterations, warm.LPIterations)
+		t.Errorf("pivot ratio fresh/sweep = %.1f (%d/%d), want >= 5",
+			ratio, freshPivots, sweep.LPIterations)
 	}
-	if f := warm.FreshEvalFrac(); f >= 0.5 {
-		t.Errorf("warm fresh-eval fraction = %.2f (%d/%d), want a minority",
-			f, warm.Evaluations, warm.CandidateUses)
+	if f := sweep.Engine.FreshFrac(); f >= 0.5 {
+		t.Errorf("sweep fresh fraction = %.2f (%s), want a minority", f, sweep.Engine)
 	}
-	// Cache sharing: the cold pass ran every bound against the warm
-	// pass's engine and must not have simulated anything fresh.
-	if cold.Engine.Simulated != 0 {
-		t.Errorf("cold pass re-simulated %d evaluations despite the shared engine", cold.Engine.Simulated)
+	if d := eng.Stats().Sub(engStart); d.Simulated != 0 {
+		t.Errorf("fresh runs re-simulated %d evaluations despite the shared engine", d.Simulated)
 	}
 }
 
@@ -209,7 +82,7 @@ func TestParetoSweepLatencyBound(t *testing.T) {
 	// One bound is enough for the infeasible direction: with no feasible
 	// incumbent the α bound never fires and the sweep pays for full MILP
 	// exhaustion, so keep this branch as small as possible.
-	res, err := ParetoSweep(pr, SweepOptions{Bounds: []float64{0.5}, LatencyMax: 1e-9})
+	res, err := ParetoSweep(context.Background(), pr, SweepOptions{Bounds: []float64{0.5}, LatencyMax: 1e-9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +96,7 @@ func TestParetoSweepLatencyBound(t *testing.T) {
 	}
 	pr2 := fastProblem(0.5)
 	pr2.Duration = 5
-	loose, err := ParetoSweep(pr2, SweepOptions{Bounds: []float64{0.5, 0.7}, LatencyMax: 10})
+	loose, err := ParetoSweep(context.Background(), pr2, SweepOptions{Bounds: []float64{0.5, 0.7}, LatencyMax: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +114,7 @@ func TestParetoSweepLatencyBound(t *testing.T) {
 // TestParetoSweepRejectsTwoStage: the screening threshold would move
 // with the swept bound, so the driver refuses the combination.
 func TestParetoSweepRejectsTwoStage(t *testing.T) {
-	_, err := ParetoSweep(fastProblem(0.5), SweepOptions{
+	_, err := ParetoSweep(context.Background(), fastProblem(0.5), SweepOptions{
 		Bounds:  []float64{0.5, 0.7},
 		Options: Options{TwoStage: true},
 	})

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -8,27 +9,20 @@ import (
 	"hiopt/internal/report"
 )
 
-// FR runs the warm ε-constraint front study: one core.ParetoSweep over
-// the reliability bounds (DefaultSweepBounds when empty), reporting each
-// bound's optimum with its latency profile, the incremental re-solve
-// price per point, and the non-dominated front. latMax > 0 adds the p95
-// latency ε constraint; cold switches to the independent-cold-runs
-// baseline (same front, full MILP price — the A/B behind the
-// pareto_warm_front benchmark); csvPath, when non-empty, receives the
+// FR runs the ε-constraint front study: one core.ParetoSweep over the
+// reliability bounds (DefaultSweepBounds when empty), reporting each
+// bound's optimum with its latency profile, the pivots each bound solved
+// beyond the class record, and the non-dominated front. latMax > 0 adds
+// the p95 latency ε constraint; csvPath, when non-empty, receives the
 // front as CSV. The Suite.Adaptive flag gates replication spending to
 // the swept band. The sweep shares the suite engine, so the engine line
 // reports only this study's delta — it is printed even when the CSV
 // redirects, same as the robustness studies.
-func (s *Suite) FR(bounds []float64, latMax float64, cold bool, csvPath string) (*core.SweepResult, error) {
-	mode := "warm ε-retarget"
-	if cold {
-		mode = "cold per-bound baseline"
-	}
-	fmt.Fprintf(s.W, "FR — extension: ε-constraint NLT/PDR/latency front (%s)\n", mode)
-	res, err := core.ParetoSweep(s.problem(0.5), core.SweepOptions{
+func (s *Suite) FR(bounds []float64, latMax float64, csvPath string) (*core.SweepResult, error) {
+	fmt.Fprintln(s.W, "FR — extension: ε-constraint NLT/PDR/latency front")
+	res, err := core.ParetoSweep(context.Background(), s.problem(0.5), core.SweepOptions{
 		Bounds:     bounds,
 		LatencyMax: latMax,
-		Cold:       cold,
 		Adaptive:   s.Adaptive,
 		Options:    core.Options{Engine: s.engine()},
 	})
@@ -57,14 +51,8 @@ func (s *Suite) FR(bounds []float64, latMax float64, cold bool, csvPath string) 
 	report.Table(s.W, []string{"PDRmin", "configuration", "PDR", "NLT", "power",
 		"p95 latency", "pivots", "front"}, tbl)
 	fmt.Fprintf(s.W, "  front: %d of %d points non-dominated\n", len(res.Front()), len(res.Points))
-	fmt.Fprintf(s.W, "  MILP effort: %d pivots, %d nodes (%d warm re-solves, %d cold solves)\n",
-		res.LPIterations, res.MILPNodes, res.MILPWarmSolves, res.MILPColdSolves)
-	fmt.Fprintf(s.W, "  evaluation sharing: %d evaluations for %d candidate scorings (fresh-eval fraction %s)\n",
-		res.Evaluations, res.CandidateUses, report.Pct(res.FreshEvalFrac()))
-	if res.RepsSaved > 0 {
-		fmt.Fprintf(s.W, "  adaptive: %d replications avoided\n", res.RepsSaved)
-	}
-	fmt.Fprintf(s.W, "  engine: %s\n", res.Engine)
+	fmt.Fprintf(s.W, "  MILP effort: %d pivots solved\n", res.LPIterations)
+	fmt.Fprintf(s.W, "  engine: %s (fresh fraction %s)\n", res.Engine, report.Pct(res.Engine.FreshFrac()))
 
 	if csvPath != "" {
 		f, err := os.Create(csvPath)

@@ -394,12 +394,20 @@ func splitIntAt(s string) (int, float64, error) {
 	return loc, t, nil
 }
 
-// splitWindow parses "T1-T2".
+// splitWindow parses "T1-T2". A '-' right after an exponent marker is
+// the exponent's sign, not the separator: Spec writes a start time of
+// 0.00001 as 1e-05.
 func splitWindow(s string) (float64, float64, error) {
-	aPart, bPart, ok := strings.Cut(s, "-")
-	if !ok {
+	sep := -1
+	for i := 1; i < len(s) && sep < 0; i++ {
+		if s[i] == '-' && !strings.ContainsRune("eEpP", rune(s[i-1])) {
+			sep = i
+		}
+	}
+	if sep < 0 {
 		return 0, 0, fmt.Errorf("want T1-T2")
 	}
+	aPart, bPart := s[:sep], s[sep+1:]
 	a, errA := strconv.ParseFloat(aPart, 64)
 	b, errB := strconv.ParseFloat(bPart, 64)
 	if errA != nil || errB != nil {

@@ -57,8 +57,6 @@ var All = []Bench{
 	{"milp_parallel_bb", milpParallelBB},
 	{"milp_gamma_warm", chainBench(gammaSweepChain, true)},
 	{"milp_gamma_cold", chainBench(gammaSweepChain, false)},
-	{"pareto_warm_front", paretoFront(true)},
-	{"pareto_cold_front", paretoFront(false)},
 	{"core_pareto_front", coreParetoFront},
 }
 
@@ -611,77 +609,6 @@ func gammaSweepChain(b *testing.B, warm bool) (pivots, nodes int) {
 		nodes += agg.Nodes
 	}
 	return pivots, nodes
-}
-
-// paretoFrontBounds is the 16-point ε grid of the front benchmarks:
-// 0.60 → 0.87 in steps of 0.018, crossing the Γ = 1 node-count ceilings
-// (n − 0.75)/n at 0.8125 (n = 4), 0.85 (n = 5), and 0.875 (n = 6), so
-// the sweep repeatedly changes which power classes the floor row prunes.
-func paretoFrontBounds() []float64 {
-	bounds := make([]float64, 16)
-	for i := range bounds {
-		bounds[i] = 0.60 + 0.018*float64(i)
-	}
-	return bounds
-}
-
-// paretoFrontChain drives one 16-point ε-constraint front enumeration —
-// the MILP-layer workload behind hisweep -pareto — over the Γ = 1
-// protected relaxation at the attainable 0.6 robust floor, pooling at
-// each bound. Warm moves the floor with ParetoHandle.Retarget on one
-// persistent state (a single right-hand-side mutation, dual-simplex
-// re-solve); cold recompiles the pareto relaxation and rebuilds a fresh
-// state per bound, like hisweep -paretocold.
-func paretoFrontChain(b *testing.B, warm bool) (pivots, nodes int) {
-	pr := design.PaperProblem(0.9)
-	var st *milp.State
-	var h *core.ParetoHandle
-	if warm {
-		work, _, hh, err := core.CompileMILPPareto(pr, core.RobustCompile{Gamma: 1, PDRFloor: 0.6}, 0.6)
-		if err != nil {
-			b.Fatal(err)
-		}
-		st, h = milp.NewState(work, milp.Options{}), hh
-	}
-	for _, eps := range paretoFrontBounds() {
-		var pool []milp.PoolSolution
-		var agg *milp.Solution
-		var err error
-		if warm {
-			h.Retarget(st, eps)
-			pool, agg, err = st.SolvePool(0, 1e-6)
-		} else {
-			var work *linexpr.Compiled
-			work, _, _, err = core.CompileMILPPareto(pr, core.RobustCompile{Gamma: 1, PDRFloor: 0.6}, eps)
-			if err != nil {
-				b.Fatal(err)
-			}
-			pool, agg, err = milp.NewState(work, milp.Options{}).SolvePool(0, 1e-6)
-		}
-		if err != nil {
-			b.Fatal(err)
-		}
-		if agg.Status != milp.Optimal || len(pool) == 0 {
-			b.Fatalf("ε=%g: status %v, %d members", eps, agg.Status, len(pool))
-		}
-		pivots += agg.LPIterations
-		nodes += agg.Nodes
-	}
-	return pivots, nodes
-}
-
-// paretoFront measures the 16-point ε-constraint front enumeration.
-// warm (pareto_warm_front) is the Retarget path hisweep -pareto rides;
-// cold (pareto_cold_front) is the recompile-per-bound baseline.
-// pivots/op warm vs cold is the incremental-re-solve payoff of the warm
-// front.
-func paretoFront(warm bool) func(*testing.B) {
-	chain := chainBench(paretoFrontChain, warm)
-	return func(b *testing.B) {
-		chain(b)
-		points := float64(len(paretoFrontBounds()))
-		b.ReportMetric(points/(b.Elapsed().Seconds()/float64(b.N)), "points/sec")
-	}
 }
 
 // coreParetoFront is one 9-bound reliability–lifetime front through
