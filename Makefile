@@ -11,7 +11,7 @@ GO ?= go
 
 .PHONY: check build test vet fmt race bench-smoke benchcmp benchcmp-auto engine-smoke robust-smoke milp-smoke gamma-smoke cache-smoke serve-smoke pareto-smoke fuzz-smoke
 
-check: build test vet race fmt gamma-smoke serve-smoke pareto-smoke fuzz-smoke benchcmp-auto
+check: build test vet race fmt gamma-smoke robust-smoke serve-smoke pareto-smoke fuzz-smoke benchcmp-auto
 
 build:
 	$(GO) build ./...
@@ -125,10 +125,24 @@ pareto-smoke:
 serve-smoke:
 	$(GO) test -race -count=1 -run 'TestServeSmoke|TestCancelMidStream' -v ./internal/serve/
 
-# A fast end-to-end robustness pass: one configuration evaluated against
-# its 1-node-failure family at quick fidelity.
+# The fault-family gate: every caller of the engine's family call, in
+# both modes. hisim evaluates one configuration against its 1-node-failure
+# family exhaustively and replication-gated; hiopt's robust stage seals
+# families wave by wave and must report the pinned run and rejection
+# counts; the gated hisweep -robust CSV must match the
+# checked-in golden file byte for byte. A few seconds in all.
 robust-smoke:
-	$(GO) run ./cmd/hisim -locs 0,1,3,6 -routing star -mac tdma -tx 0 -duration 60 -faults knode=1
+	$(GO) run ./cmd/hisim -locs 0,1,3,6 -routing star -mac tdma -tx 0 -duration 20 -faults knode=1
+	$(GO) run ./cmd/hisim -locs 0,1,3,6 -routing star -mac tdma -tx 0 -duration 20 -faults knode=1 -runs 4 -adaptive
+	@# No design survives k=1 at the default floor, so hiopt exits 2; the
+	@# gate is its report: 48 candidates in 55 runs, 7 rejected by the screen.
+	$(GO) run ./cmd/hiopt -robust -kfail 1 -duration 10 -maxiter 3 -adaptive > /tmp/hiopt-robust-smoke.out || true
+	grep -q '^evaluations:  48 configurations (55 simulator runs)$$' /tmp/hiopt-robust-smoke.out
+	grep -q '7 nominally feasible candidates rejected by the fault screen$$' /tmp/hiopt-robust-smoke.out
+	@rm -f /tmp/hiopt-robust-smoke.csv
+	$(GO) run ./cmd/hisweep -duration 5 -robust -kfail 1 -adaptive -robustcsv /tmp/hiopt-robust-smoke.csv > /dev/null
+	cmp /tmp/hiopt-robust-smoke.csv internal/experiments/testdata/rb_smoke_adaptive.csv
+	@echo "robust-smoke: every family caller ran in both modes, gated RB CSV matches golden"
 
 # The warm-started MILP kernel gate: the warm-vs-cold equivalence property
 # tests on BOTH kernels (randomized bound/cut mutations in internal/lp,

@@ -11,8 +11,10 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -248,14 +250,15 @@ func parseFamily(cfg netsim.Config, spec string, seed uint64) ([]*fault.Scenario
 	}
 }
 
-// runRobust evaluates the configuration under the generated family —
-// one engine batch: the nominal run plus one run per scenario — and
-// prints the nominal result, the per-scenario table, and the worst case.
-// A non-nil gate replication-gates the scenario runs (the nominal run
-// keeps its full budget); the engine stats line then shows the savings.
-// With a cache file attached the requests are keyed, so a repeated
-// invocation answers the whole family from disk. Trace runs stay
-// unkeyed: they exist for their side effects.
+// runRobust evaluates the configuration under the generated family — the
+// nominal run, then the family as one engine family call — and prints
+// the nominal result, the per-scenario table, and the worst case. A
+// non-nil gate replication-gates the scenario runs (the nominal run keeps
+// its full budget; the family is never sealed, so every scenario is
+// reported); the engine stats line then shows the savings. With a cache
+// file attached the requests are keyed, so a repeated invocation answers
+// the whole family from disk. Trace runs stay unkeyed: they exist for
+// their side effects.
 func runRobust(cfg netsim.Config, spec string, runs int, seed uint64, gate *netsim.Gate, cacheFile string) error {
 	scenarios, err := parseFamily(cfg, spec, seed)
 	if err != nil {
@@ -282,52 +285,50 @@ func runRobust(cfg netsim.Config, spec string, runs int, seed uint64, gate *nets
 	base := cfg
 	base.Scenario = nil
 	point := cfgKey(base)
-	reqs := make([]engine.Request, 0, len(scenarios)+1)
 	nomReq := engine.Request{Cfg: base, Runs: runs, Seed: seed, Label: "nominal"}
 	if keyed {
 		nomReq.Key = engine.PointKey(point)
 	}
-	reqs = append(reqs, nomReq)
+	fam := engine.Family{Tolerate: len(scenarios)}
 	for _, sc := range scenarios {
 		c := base
 		c.Scenario = sc
-		req := engine.Request{Cfg: c, Runs: runs, Seed: seed, Label: sc.Label(), Adaptive: gate}
+		req := engine.Request{Cfg: c, Runs: runs, Seed: seed, Label: sc.Label()}
 		if keyed {
 			req.Key = engine.ScenarioKey(point, sc.Key())
 		}
-		reqs = append(reqs, req)
+		fam.Reqs = append(fam.Reqs, req)
 	}
 	t0 := time.Now()
-	results, err := eng.EvaluateBatch(reqs, nil)
+	if fam.Nominal, err = eng.Evaluate(nomReq); err != nil {
+		return err
+	}
+	rrs, _, err := eng.EvaluateFamilies(context.Background(), []engine.Family{fam}, gate)
 	if err != nil {
 		return err
 	}
 	elapsed := time.Since(t0)
-	nominal := results[0]
 	fmt.Printf("configuration: %s\n", cfg.Label())
 	fmt.Printf("simulated:     %.0f s × %d runs × %d scenarios (+nominal) in %s\n",
 		cfg.Duration, runs, len(scenarios), elapsed.Round(time.Millisecond))
-	worstPDR, worstNLT := nominal.PDR, nominal.NLTDays
-	worstScenario := ""
-	rows := [][]string{{"nominal", report.Pct(nominal.PDR), report.Days(nominal.NLTDays),
-		report.MW(float64(nominal.MaxPower))}}
-	for i, sc := range scenarios {
-		r := results[i+1]
-		rows = append(rows, []string{sc.Label(), report.Pct(r.PDR),
-			report.Days(r.NLTDays), report.MW(float64(r.MaxPower))})
-		if i == 0 || r.PDR < worstPDR {
-			worstPDR = r.PDR
-			worstScenario = sc.Label()
-		}
-		if i == 0 || r.NLTDays < worstNLT {
-			worstNLT = r.NLTDays
-		}
-	}
-	report.Table(os.Stdout, []string{"scenario", "PDR", "lifetime", "worst node"}, rows)
-	fmt.Printf("worst case:    PDR %s, lifetime %s (scenario %s)\n",
-		report.Pct(worstPDR), report.Days(worstNLT), worstScenario)
+	printRobust(os.Stdout, rrs[0])
 	fmt.Printf("engine:        %s\n", eng.Stats())
 	return eng.CloseSpill()
+}
+
+// printRobust renders a family envelope: the nominal row, one row per
+// scenario, and the worst case across the scenarios.
+func printRobust(w io.Writer, rr *netsim.RobustResult) {
+	row := func(label string, r *netsim.Result) []string {
+		return []string{label, report.Pct(r.PDR), report.Days(r.NLTDays), report.MW(float64(r.MaxPower))}
+	}
+	rows := [][]string{row("nominal", rr.Nominal)}
+	for _, m := range rr.Scenarios {
+		rows = append(rows, row(m.Scenario.Label(), m.Result))
+	}
+	report.Table(w, []string{"scenario", "PDR", "lifetime", "worst node"}, rows)
+	fmt.Fprintf(w, "worst case:    PDR %s, lifetime %s (scenario %s)\n",
+		report.Pct(rr.WorstPDR), report.Days(rr.WorstNLTDays), rr.WorstScenario)
 }
 
 func fatalIf(err error) {

@@ -731,17 +731,16 @@ func (o *Optimizer) simulateAll(ctx context.Context, points []design.Point) ([]p
 		return nil, stats, o.engErr
 	}
 	engStart := o.eng.Stats()
-	// skippedRuns/skippedSeconds accumulate the robust stage's
-	// family-short-circuit savings; the engine delta contributes the
-	// replication-gate savings on the runs that did start.
+	// skippedRuns counts the runs of the robust scenarios skipped by
+	// sealed families; the engine delta contributes the replication-gate
+	// savings on the runs that did start.
 	var skippedRuns int
-	var skippedSeconds float64
 	collect := func() {
 		d := o.eng.Stats().Sub(engStart)
 		stats.runs = int(d.SimRuns)
 		stats.seconds = d.SimSeconds()
 		stats.savedRuns = int(d.RepsSaved) + skippedRuns
-		stats.savedSeconds = d.SavedSeconds + skippedSeconds
+		stats.savedSeconds = d.SavedSeconds + float64(skippedRuns)*o.Problem.Duration
 	}
 
 	// Distinct candidates in first-appearance order.
@@ -845,25 +844,47 @@ func (o *Optimizer) simulateAll(ctx context.Context, points []design.Point) ([]p
 	// and the family costs |scenarios| full-fidelity evaluations each.
 	// The feasibility statistic is recomputed per call from the (cached)
 	// family results — the bound may have changed across a ParetoFront
-	// sweep.
-	robust := make(map[uint32]robustStats)
+	// sweep. With AdaptiveReps each scenario's replications are gated
+	// against the robust bound ± FeasTol, and a family is sealed once its
+	// breaches exceed what the Quantile order statistic tolerates: the
+	// verdict is then infeasible whatever the remaining scenarios measure,
+	// so they are skipped (credited to the savings counters at their full
+	// replication budget).
+	robust := make(map[uint32]pointEval)
 	if o.Options.Robust.Enabled {
-		var jobs []famJob
+		var cands []design.Point
+		var fams []engine.Family
 		for _, p := range need {
-			if full[p.Key()].PDR < o.Problem.PDRMin-o.Options.FeasTol {
+			nominal := full[p.Key()]
+			if nominal.PDR < o.Problem.PDRMin-o.Options.FeasTol {
 				continue
 			}
-			jobs = append(jobs, famJob{p: p, scenarios: o.scenariosFor(p)})
+			scenarios := o.scenariosFor(p)
+			fam := engine.Family{Nominal: nominal, Tolerate: o.quantileIndex(len(scenarios))}
+			for _, sc := range scenarios {
+				cfg := o.Problem.Config(p)
+				cfg.Scenario = sc
+				fam.Reqs = append(fam.Reqs, engine.Request{
+					Cfg: cfg, Runs: o.Problem.Runs, Seed: o.Problem.Seed,
+					Key:   o.saltKey(engine.ScenarioKey(p.Key(), sc.Key())),
+					Label: fmt.Sprintf("%v under %s", p, sc.Label()), Pre: pre(p),
+				})
+			}
+			cands = append(cands, p)
+			fams = append(fams, fam)
 		}
-		var err error
+		var gate *netsim.Gate
 		if o.Options.AdaptiveReps {
-			err = o.robustAdaptive(ctx, jobs, full, pre, robust, &skippedRuns, &skippedSeconds)
-		} else {
-			err = o.robustExhaustive(ctx, jobs, full, pre, robust)
+			gate = &netsim.Gate{PDRMin: o.robustBound(), Margin: o.Options.FeasTol}
 		}
+		rrs, skipped, err := o.eng.EvaluateFamilies(ctx, fams, gate)
 		if err != nil {
 			collect()
 			return nil, stats, err
+		}
+		skippedRuns = skipped * max(1, o.Problem.Runs)
+		for i, p := range cands {
+			robust[p.Key()] = o.robustEval(rrs[i], len(fams[i].Reqs))
 		}
 	}
 
@@ -876,11 +897,8 @@ func (o *Optimizer) simulateAll(ctx context.Context, points []design.Point) ([]p
 			pe = pointEval{res: sr}
 		} else {
 			pe = pointEval{res: full[k]}
-			if rs, ok := robust[k]; ok {
-				pe.robust = true
-				pe.screenPDR = rs.screenPDR
-				pe.worstPDR = rs.worstPDR
-				pe.worstScenario = rs.worstScenario
+			if rpe, ok := robust[k]; ok {
+				pe = rpe
 			}
 		}
 		for _, i := range idxOf[k] {
@@ -889,20 +907,6 @@ func (o *Optimizer) simulateAll(ctx context.Context, points []design.Point) ([]p
 	}
 	collect()
 	return evals, stats, nil
-}
-
-// robustStats is the scenario-family PDR summary of one candidate.
-type robustStats struct {
-	screenPDR     float64
-	worstPDR      float64
-	worstScenario string
-}
-
-// famJob is one nominally feasible candidate's fault-scenario family in
-// the robust stage.
-type famJob struct {
-	p         design.Point
-	scenarios []*fault.Scenario
 }
 
 // quantileIndex is the order-statistic index the Quantile bound is
@@ -919,145 +923,24 @@ func (o *Optimizer) quantileIndex(n int) int {
 	return idx
 }
 
-// robustExhaustive evaluates every family in full, as one flat batch
-// reduced per candidate in family order.
-func (o *Optimizer) robustExhaustive(ctx context.Context, jobs []famJob, full map[uint32]*netsim.Result, pre func(design.Point) func(), robust map[uint32]robustStats) error {
-	var rreqs []engine.Request
-	base := make([]int, len(jobs))
-	for ji, job := range jobs {
-		base[ji] = len(rreqs)
-		for _, sc := range job.scenarios {
-			cfg := o.Problem.Config(job.p)
-			cfg.Scenario = sc
-			rreqs = append(rreqs, engine.Request{
-				Cfg: cfg, Runs: o.Problem.Runs, Seed: o.Problem.Seed,
-				Key:   o.saltKey(engine.ScenarioKey(job.p.Key(), sc.Key())),
-				Label: fmt.Sprintf("%v under %s", job.p, sc.Label()), Pre: pre(job.p),
-			})
+// robustEval reduces one candidate's family envelope (seeded with its
+// nominal result) over an n-scenario family to the candidate's robust
+// evaluation. The bound is enforced on the Quantile order statistic of
+// the evaluated scenario PDRs at quantileIndex(n) — for a family sealed
+// after a prefix, clamped to the prefix, where the breach count already
+// pins it below the bound. An empty family reports the nominal PDR.
+func (o *Optimizer) robustEval(rr *netsim.RobustResult, n int) pointEval {
+	pe := pointEval{res: rr.Nominal, robust: true, screenPDR: rr.WorstPDR,
+		worstPDR: rr.WorstPDR, worstScenario: rr.WorstScenario}
+	if len(rr.Scenarios) > 0 {
+		pdrs := make([]float64, len(rr.Scenarios))
+		for i, m := range rr.Scenarios {
+			pdrs[i] = m.PDR
 		}
+		sort.Float64s(pdrs)
+		pe.screenPDR = pdrs[min(o.quantileIndex(n), len(pdrs)-1)]
 	}
-	rres, err := o.eng.EvaluateBatchCtx(ctx, rreqs, nil)
-	if err != nil {
-		return err
-	}
-	for ji, job := range jobs {
-		rs := robustStats{screenPDR: math.Inf(1), worstPDR: math.Inf(1)}
-		if len(job.scenarios) == 0 {
-			nominal := full[job.p.Key()]
-			rs.screenPDR, rs.worstPDR = nominal.PDR, nominal.PDR
-		} else {
-			pdrs := make([]float64, 0, len(job.scenarios))
-			for si, sc := range job.scenarios {
-				r := rres[base[ji]+si]
-				pdrs = append(pdrs, r.PDR)
-				if r.PDR < rs.worstPDR {
-					rs.worstPDR = r.PDR
-					rs.worstScenario = sc.Label()
-				}
-			}
-			sort.Float64s(pdrs)
-			rs.screenPDR = pdrs[o.quantileIndex(len(pdrs))]
-		}
-		robust[job.p.Key()] = rs
-	}
-	return nil
-}
-
-// robustAdaptive evaluates the families wave by wave — wave w submits the
-// w-th scenario of every still-undecided family as one batch — and stops
-// a family as soon as its breach count exceeds what the Quantile order
-// statistic tolerates: the verdict is then sealed infeasible whatever the
-// remaining scenarios measure, so they are skipped (credited to the
-// savings counters at their full replication budget). Each scenario
-// request also carries the confidence gate, letting its replications stop
-// early against PDRMin ± FeasTol. A family that stays undecided runs
-// exhaustively and reduces to the same order statistic as
-// robustExhaustive; a sealed family reports the order statistic over its
-// evaluated prefix, which the breach count already pins below the bound.
-func (o *Optimizer) robustAdaptive(ctx context.Context, jobs []famJob, full map[uint32]*netsim.Result, pre func(design.Point) func(), robust map[uint32]robustStats, skippedRuns *int, skippedSeconds *float64) error {
-	bound := o.robustBound() - o.Options.FeasTol
-	gate := &netsim.Gate{PDRMin: o.robustBound(), Margin: o.Options.FeasTol}
-	type famState struct {
-		job       famJob
-		pdrs      []float64
-		breaches  int
-		decided   bool
-		worstPDR  float64
-		worstScen string
-	}
-	var states []*famState
-	maxFam := 0
-	for _, job := range jobs {
-		if len(job.scenarios) == 0 {
-			nominal := full[job.p.Key()]
-			robust[job.p.Key()] = robustStats{screenPDR: nominal.PDR, worstPDR: nominal.PDR}
-			continue
-		}
-		states = append(states, &famState{job: job, worstPDR: math.Inf(1)})
-		if len(job.scenarios) > maxFam {
-			maxFam = len(job.scenarios)
-		}
-	}
-	for wave := 0; wave < maxFam; wave++ {
-		var reqs []engine.Request
-		var active []*famState
-		for _, fs := range states {
-			if fs.decided || wave >= len(fs.job.scenarios) {
-				continue
-			}
-			sc := fs.job.scenarios[wave]
-			cfg := o.Problem.Config(fs.job.p)
-			cfg.Scenario = sc
-			reqs = append(reqs, engine.Request{
-				Cfg: cfg, Runs: o.Problem.Runs, Seed: o.Problem.Seed,
-				Key:      o.saltKey(engine.ScenarioKey(fs.job.p.Key(), sc.Key())),
-				Label:    fmt.Sprintf("%v under %s", fs.job.p, sc.Label()),
-				Pre:      pre(fs.job.p),
-				Adaptive: gate,
-			})
-			active = append(active, fs)
-		}
-		if len(reqs) == 0 {
-			break
-		}
-		res, err := o.eng.EvaluateBatchCtx(ctx, reqs, nil)
-		if err != nil {
-			return err
-		}
-		for i, fs := range active {
-			r := res[i]
-			fs.pdrs = append(fs.pdrs, r.PDR)
-			if r.PDR < fs.worstPDR {
-				fs.worstPDR = r.PDR
-				fs.worstScen = fs.job.scenarios[wave].Label()
-			}
-			if r.PDR < bound {
-				fs.breaches++
-			}
-			if fs.breaches > o.quantileIndex(len(fs.job.scenarios)) {
-				fs.decided = true
-			}
-		}
-	}
-	runs := max(1, o.Problem.Runs)
-	for _, fs := range states {
-		if skipped := len(fs.job.scenarios) - len(fs.pdrs); skipped > 0 {
-			*skippedRuns += skipped * runs
-			*skippedSeconds += float64(skipped*runs) * o.Problem.Duration
-		}
-		sorted := append([]float64(nil), fs.pdrs...)
-		sort.Float64s(sorted)
-		idx := o.quantileIndex(len(fs.job.scenarios))
-		if idx >= len(sorted) {
-			idx = len(sorted) - 1
-		}
-		robust[fs.job.p.Key()] = robustStats{
-			screenPDR:     sorted[idx],
-			worstPDR:      fs.worstPDR,
-			worstScenario: fs.worstScen,
-		}
-	}
-	return nil
+	return pe
 }
 
 // scenariosFor returns the fault-scenario family a candidate is screened

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -266,5 +267,43 @@ func TestScenarioCacheAvoidsResimulation(t *testing.T) {
 		first[0].worstPDR != second[0].worstPDR ||
 		first[0].worstScenario != second[0].worstScenario {
 		t.Fatalf("cached robust stats diverged: %+v vs %+v", first[0], second[0])
+	}
+}
+
+// TestRobustStageMatchesSequential: the robust stage's family call with
+// no gate reduces, candidate by candidate, to exactly what the sequential
+// Evaluator.EvaluateRobust gives under the same reduction — the nominal
+// result, the Quantile order statistic, the worst PDR and its scenario —
+// over replicated runs and a non-trivial quantile.
+func TestRobustStageMatchesSequential(t *testing.T) {
+	pr := fastProblem(0.2)
+	pr.Runs = 2
+	o := NewOptimizer(pr, Options{Robust: RobustOptions{Enabled: true, Quantile: 0.5}})
+	points, err := FirstPool(pr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts := points[:min(4, len(points))]
+	evals, _, err := o.simulateAll(context.Background(), pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for i, p := range pts {
+		if !evals[i].robust {
+			continue
+		}
+		scenarios := o.scenariosFor(p)
+		rr, err := netsim.NewEvaluator().EvaluateRobust(pr.Config(p), pr.Runs, pr.Seed, scenarios)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := o.robustEval(rr, len(scenarios)); !reflect.DeepEqual(evals[i], want) {
+			t.Fatalf("candidate %v: robust stage %+v, sequential %+v", p, evals[i], want)
+		}
+		checked++
+	}
+	if checked == 0 {
+		t.Fatal("no candidate reached the robust stage — test premise broken")
 	}
 }

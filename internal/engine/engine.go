@@ -33,6 +33,10 @@
 //     request's Runs become a budget, replications run sequentially and
 //     stop once the PDR confidence interval settles against the gate's
 //     band, and the saved replications are counted in Stats;
+//   - one fault-family call (EvaluateFamilies, family.go) that evaluates
+//     caller-built scenario requests as one flat batch, or — under a
+//     gate — wave by wave, sealing a family once its breaches exceed
+//     its tolerance, and reduces each family to its worst-case envelope;
 //   - a Stats counter block (submitted, simulated, cache hits, dedup
 //     hits, disk hits, per-fidelity simulated seconds, adaptive savings)
 //     so every layer can report the cost and cache behaviour of its
@@ -161,12 +165,14 @@ type Request struct {
 	// simulation itself is recovered into an error naming Label.
 	Pre func()
 	// Adaptive, when non-nil, turns Runs into a replication budget: the
-	// replications run sequentially (netsim.Evaluator.RunAdaptive) and
-	// stop as soon as the gate's confidence interval settles which side
-	// of its reliability band the PDR is on. The saved replications are
-	// counted in Stats.RepsSaved/SavedSeconds. Adaptive requests are one
-	// scheduling unit — their replication count is decided at run time —
-	// while non-adaptive requests fan out one sub-task per replication.
+	// replications run sequentially in netsim's replication loop
+	// (Evaluator.Replicate) and stop as soon as the gate's confidence
+	// interval settles which side of its reliability band the PDR is on.
+	// The saved replications are counted in Stats.RepsSaved/SavedSeconds.
+	// A gated request is one scheduling unit — its replication count is
+	// decided at run time — while an ungated one fans out one sub-task per
+	// replication. EvaluateFamilies sets it on every scenario request from
+	// the family call's own gate.
 	Adaptive *netsim.Gate
 }
 
@@ -489,6 +495,9 @@ type job struct {
 	idx  int // index into the batch's request slice
 	runs int // replication budget, max(1, req.Runs)
 	en   *entry
+	// loop marks a gated request: its one sub-task runs the whole
+	// replication loop instead of a single replication.
+	loop bool
 
 	pre     sync.Once
 	reps    []*netsim.Result // partials, indexed by replication
@@ -713,8 +722,9 @@ func (e *Engine) EvaluateBatchIntoCtx(ctx context.Context, results []*netsim.Res
 			sh.inflight[req.Key] = j.en
 			sh.mu.Unlock()
 		}
-		if req.Adaptive != nil || j.runs == 1 {
-			// One scheduling unit: a single run, or an adaptive loop whose
+		j.loop = req.Adaptive != nil
+		if j.loop || j.runs == 1 {
+			// One scheduling unit: a single run, or a gated loop whose
 			// replication count is decided at run time.
 			j.pending = 1
 			j.reps = make([]*netsim.Result, 1)
@@ -1015,27 +1025,12 @@ func (b *batch) runRetry(ev *netsim.Evaluator, req *Request) (res *netsim.Result
 	if req.Pre != nil {
 		req.Pre()
 	}
-	runs := max(1, req.Runs)
-	ctx := b.ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if req.Adaptive != nil {
-		r, n, err := ev.RunAdaptiveCtx(ctx, req.Cfg, runs, req.Seed, *req.Adaptive)
-		if err != nil {
-			return nil, 0, err, false
-		}
-		return r, n, nil, false
-	}
-	r, err := ev.RunAveragedCtx(ctx, req.Cfg, runs, req.Seed)
-	if err != nil {
-		return nil, 0, err, false
-	}
-	return r, runs, nil, false
+	res, ran, err = ev.Replicate(b.ctx, req.Cfg, req.Runs, req.Seed, req.Adaptive)
+	return res, ran, err, false
 }
 
-// runTask executes one replication sub-task — or, for an adaptive
-// request, the whole gated replication loop — on ev, recovering panics
+// runTask executes one replication sub-task — or, for a gated request,
+// the whole replication loop — on ev, recovering panics
 // (from the Pre hook or the simulator) into errors. ran is the number of
 // simulator runs performed.
 func (b *batch) runTask(ev *netsim.Evaluator, j *job, rep int) (res *netsim.Result, ran int, err error, poisoned bool) {
@@ -1050,15 +1045,12 @@ func (b *batch) runTask(ev *netsim.Evaluator, j *job, rep int) (res *netsim.Resu
 			j.req.Pre()
 		}
 	})
-	if j.req.Adaptive != nil {
-		// The adaptive loop is one scheduling unit that may run many
+	if j.loop {
+		// The gated loop is one scheduling unit that may run many
 		// replications, so it takes the batch context itself: a cancelled
 		// caller stops it at the next replication boundary.
-		res, ran, err = ev.RunAdaptiveCtx(b.ctx, j.req.Cfg, j.runs, j.req.Seed, *j.req.Adaptive)
-		if err != nil {
-			return nil, 0, err, false
-		}
-		return res, ran, nil, false
+		res, ran, err = ev.Replicate(b.ctx, j.req.Cfg, j.runs, j.req.Seed, j.req.Adaptive)
+		return res, ran, err, false
 	}
 	res, err = ev.Run(j.req.Cfg, j.req.Seed+uint64(rep))
 	if err != nil {
@@ -1103,7 +1095,7 @@ func (b *batch) finalizeJob(j *job) {
 	e := b.e
 	if j.err == nil && !j.aborted {
 		res := j.reps[0]
-		if j.req.Adaptive == nil && j.runs > 1 {
+		if len(j.reps) > 1 {
 			pdrs := make([]float64, j.runs)
 			for r, pr := range j.reps {
 				pdrs[r] = pr.PDR

@@ -435,7 +435,8 @@ func TestAdaptiveUndecidedMatchesNonAdaptive(t *testing.T) {
 
 // TestAdaptiveEarlyStopSavesReps: a decisive gate stops a clearly-passing
 // configuration early, the savings land in the stats (and their String
-// rendering), and the truncated average matches RunAdaptive directly.
+// rendering), and the truncated average matches netsim's replication
+// loop run directly with the same gate.
 func TestAdaptiveEarlyStopSavesReps(t *testing.T) {
 	cfg := testConfigs()[2] // highest CSMA tx mode: comfortably above a loose bound
 	const budget, seed = 6, 3
@@ -448,7 +449,7 @@ func TestAdaptiveEarlyStopSavesReps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, ran, err := netsim.NewEvaluator().RunAdaptive(cfg, budget, seed, *gate)
+	want, ran, err := netsim.NewEvaluator().Replicate(nil, cfg, budget, seed, gate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +457,7 @@ func TestAdaptiveEarlyStopSavesReps(t *testing.T) {
 		t.Fatalf("gate did not stop early (ran %d of %d); pick a clearer config", ran, budget)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatal("engine adaptive result diverged from RunAdaptive")
+		t.Fatal("engine adaptive result diverged from Evaluator.Replicate")
 	}
 	s := e.Stats()
 	if s.SimRuns != int64(ran) || s.RepsSaved != int64(budget-ran) {

@@ -358,14 +358,6 @@ type RBResult struct {
 	RobustBest  *RBRow
 }
 
-// rbJob is one nominally feasible configuration's scenario family in the
-// RB comparison.
-type rbJob struct {
-	e         *exhaustive.Entry
-	cfg       netsim.Config
-	scenarios []*fault.Scenario
-}
-
 // RB runs the nominal-vs-robust Fig. 3-style comparison: every nominally
 // feasible configuration of the exhaustive sweep is re-simulated under
 // the k-node-failure scenario family (hard failures at a quarter of the
@@ -396,11 +388,19 @@ func (s *Suite) RB(ks []int, pdrMin float64, csvPath string) ([]*RBResult, error
 	fmt.Fprintf(s.W, "RB — extension: nominal vs robust design under k-node failures (PDRmin=%s)\n", report.Pct(pdrMin))
 	var results []*RBResult
 	var csvRows [][]string
-	var skippedScen, skippedRuns int
-	var skippedSeconds float64
+	// With Suite.Adaptive each scenario's replications are gated against
+	// the bound, and a family is sealed on its first decisive breach: its
+	// remaining scenarios can only deepen a worst case that is already
+	// below the bound, so the verdict matches the exhaustive run's.
+	var gate *netsim.Gate
+	if s.Adaptive {
+		gate = &netsim.Gate{PDRMin: pdrMin, Margin: tol}
+	}
+	skippedScen := 0
 	for _, k := range ks {
 		res := &RBResult{K: k, PDRMin: pdrMin}
-		var jobs []rbJob
+		var entries []*exhaustive.Entry
+		var fams []engine.Family
 		for i := range sweep.All {
 			e := &sweep.All[i]
 			if e.PDR < pdrMin-tol {
@@ -412,22 +412,26 @@ func (s *Suite) RB(ks []int, pdrMin float64, csvPath string) ([]*RBResult, error
 			if e.Point.Routing == netsim.Star {
 				exclude = cfg.CoordinatorLoc
 			}
-			scenarios := gen.KNodeFailures(e.Point.Locations(), exclude, k, pr.Duration)
-			jobs = append(jobs, rbJob{e: e, cfg: cfg, scenarios: scenarios})
+			var fam engine.Family
+			for _, sc := range gen.KNodeFailures(e.Point.Locations(), exclude, k, pr.Duration) {
+				c := cfg
+				c.Scenario = sc
+				fam.Reqs = append(fam.Reqs, engine.Request{
+					Cfg: c, Runs: pr.Runs, Seed: pr.Seed,
+					Key:   engine.ScenarioKey(e.Point.Key(), sc.Key()),
+					Label: fmt.Sprintf("%v under %s", e.Point, sc.Label()),
+				})
+			}
+			entries = append(entries, e)
+			fams = append(fams, fam)
 		}
-		var rows []RBRow
-		var err error
-		if s.Adaptive {
-			rows, err = s.rbAdaptive(eng, pr, jobs, k, pdrMin, tol, &skippedScen, &skippedRuns, &skippedSeconds)
-		} else {
-			rows, err = s.rbExhaustive(eng, pr, jobs, k, pdrMin, tol)
-		}
+		rrs, skipped, err := eng.EvaluateFamilies(nil, fams, gate)
 		if err != nil {
 			return nil, err
 		}
-		for ji := range rows {
-			row := rows[ji]
-			e := jobs[ji].e
+		skippedScen += skipped
+		for ji, e := range entries {
+			row := rbRow(k, e, rrs[ji], pdrMin, tol)
 			if row.RobustFeasible {
 				res.RobustFeasible++
 			}
@@ -485,8 +489,9 @@ func (s *Suite) RB(ks []int, pdrMin float64, csvPath string) ([]*RBResult, error
 		report.Table(s.W, []string{"design rule", "configuration", "nominal PDR", "worst PDR", "worst scenario"}, tbl)
 	}
 	if s.Adaptive {
+		skippedRuns := skippedScen * max(1, pr.Runs)
 		fmt.Fprintf(s.W, "  adaptive: %d scenario evaluations skipped — %d runs (%.6g s simulated) avoided\n",
-			skippedScen, skippedRuns, skippedSeconds)
+			skippedScen, skippedRuns, float64(skippedRuns)*pr.Duration)
 	}
 	fmt.Fprintf(s.W, "  engine: %s\n", eng.Stats().Sub(engStart))
 	if csvPath != "" {
@@ -505,120 +510,23 @@ func (s *Suite) RB(ks []int, pdrMin float64, csvPath string) ([]*RBResult, error
 	return results, nil
 }
 
-// rbRow seeds one configuration's comparison row with its nominal
-// metrics.
-func rbRow(k int, e *exhaustive.Entry) RBRow {
-	return RBRow{
+// rbRow reduces one configuration's family envelope to its comparison
+// row. The worst case is the minimum over the nominal run and the
+// evaluated scenarios, so a scenario that only ties the nominal PDR is
+// not reported as the worst one.
+func rbRow(k int, e *exhaustive.Entry, rr *netsim.RobustResult, pdrMin, tol float64) RBRow {
+	row := RBRow{
 		K: k, Point: e.Point,
 		NominalPDR: e.PDR, WorstPDR: e.PDR,
 		NominalNLTDays: e.NLTDays, WorstNLTDays: e.NLTDays,
 		PowerMW: e.PowerMW,
 	}
-}
-
-// fold merges one scenario result into the row's worst-case envelope.
-func (row *RBRow) fold(sc *fault.Scenario, r *netsim.Result) {
-	if r.PDR < row.WorstPDR {
-		row.WorstPDR = r.PDR
-		row.WorstScenario = sc.Label()
-	}
-	row.WorstNLTDays = minF(row.WorstNLTDays, r.NLTDays)
-}
-
-// rbExhaustive evaluates every family in full as one flat engine batch,
-// then reduces per family in scenario order — identical to a serial
-// per-scenario walk.
-func (s *Suite) rbExhaustive(eng *engine.Engine, pr *design.Problem, jobs []rbJob, k int, pdrMin, tol float64) ([]RBRow, error) {
-	var reqs []engine.Request
-	base := make([]int, len(jobs))
-	for ji, job := range jobs {
-		base[ji] = len(reqs)
-		for _, sc := range job.scenarios {
-			c := job.cfg
-			c.Scenario = sc
-			reqs = append(reqs, engine.Request{
-				Cfg: c, Runs: pr.Runs, Seed: pr.Seed,
-				Key:   engine.ScenarioKey(job.e.Point.Key(), sc.Key()),
-				Label: fmt.Sprintf("%v under %s", job.e.Point, sc.Label()),
-			})
+	if len(rr.Scenarios) > 0 {
+		if rr.WorstPDR < row.WorstPDR {
+			row.WorstPDR, row.WorstScenario = rr.WorstPDR, rr.WorstScenario
 		}
+		row.WorstNLTDays = minF(row.WorstNLTDays, rr.WorstNLTDays)
 	}
-	rres, err := eng.EvaluateBatch(reqs, nil)
-	if err != nil {
-		return nil, err
-	}
-	rows := make([]RBRow, len(jobs))
-	for ji, job := range jobs {
-		row := rbRow(k, job.e)
-		for si, sc := range job.scenarios {
-			row.fold(sc, rres[base[ji]+si])
-		}
-		row.RobustFeasible = row.WorstPDR >= pdrMin-tol
-		rows[ji] = row
-	}
-	return rows, nil
-}
-
-// rbAdaptive evaluates the families wave by wave: wave w batches every
-// undecided family's w-th scenario, each replication-gated against the
-// bound, and a family short-circuits as soon as one scenario decisively
-// breaches it — its remaining scenarios can only deepen a worst case
-// that is already below the bound, so the feasibility verdict matches
-// rbExhaustive's. Skipped scenarios are credited at the full replication
-// budget through the skipped counters.
-func (s *Suite) rbAdaptive(eng *engine.Engine, pr *design.Problem, jobs []rbJob, k int, pdrMin, tol float64,
-	skippedScen, skippedRuns *int, skippedSeconds *float64) ([]RBRow, error) {
-	rows := make([]RBRow, len(jobs))
-	sealed := make([]bool, len(jobs))
-	for ji, job := range jobs {
-		rows[ji] = rbRow(k, job.e)
-	}
-	gate := &netsim.Gate{PDRMin: pdrMin, Margin: tol}
-	runs := max(1, pr.Runs)
-	maxFam := 0
-	for _, job := range jobs {
-		maxFam = max(maxFam, len(job.scenarios))
-	}
-	for wave := 0; wave < maxFam; wave++ {
-		var reqs []engine.Request
-		var idxs []int
-		for ji, job := range jobs {
-			if sealed[ji] || wave >= len(job.scenarios) {
-				continue
-			}
-			sc := job.scenarios[wave]
-			c := job.cfg
-			c.Scenario = sc
-			reqs = append(reqs, engine.Request{
-				Cfg: c, Runs: pr.Runs, Seed: pr.Seed,
-				Key:      engine.ScenarioKey(job.e.Point.Key(), sc.Key()),
-				Label:    fmt.Sprintf("%v under %s", job.e.Point, sc.Label()),
-				Adaptive: gate,
-			})
-			idxs = append(idxs, ji)
-		}
-		if len(reqs) == 0 {
-			break
-		}
-		rres, err := eng.EvaluateBatch(reqs, nil)
-		if err != nil {
-			return nil, err
-		}
-		for ri, ji := range idxs {
-			job := jobs[ji]
-			sc := job.scenarios[wave]
-			rows[ji].fold(sc, rres[ri])
-			if rres[ri].PDR < pdrMin-tol {
-				sealed[ji] = true
-				skip := len(job.scenarios) - wave - 1
-				*skippedScen += skip
-				*skippedRuns += skip * runs
-				*skippedSeconds += float64(skip*runs) * pr.Duration
-			}
-		}
-	}
-	for ji := range rows {
-		rows[ji].RobustFeasible = rows[ji].WorstPDR >= pdrMin-tol
-	}
-	return rows, nil
+	row.RobustFeasible = row.WorstPDR >= pdrMin-tol
+	return row
 }

@@ -55,91 +55,53 @@ func (ev *Evaluator) Run(cfg Config, seed uint64) (*Result, error) {
 // (seed, seed+1, ...) and averages PDR and power metrics on the reusable
 // kernel; semantics match the package-level RunAveraged.
 func (ev *Evaluator) RunAveraged(cfg Config, runs int, seed uint64) (*Result, error) {
-	return ev.RunAveragedCtx(context.Background(), cfg, runs, seed)
+	res, _, err := ev.Replicate(nil, cfg, runs, seed, nil)
+	return res, err
 }
 
-// ctxErr is the replication-boundary cancellation check shared by the
-// ...Ctx run loops: a nil context never cancels. A replication is the
-// atomic unit of work — cancellation between replications keeps every
-// completed Result exact while bounding the abandoned work to one
-// simulator run.
-func ctxErr(ctx context.Context) error {
-	if ctx == nil {
-		return nil
-	}
-	return ctx.Err()
-}
-
-// RunAveragedCtx is RunAveraged with a cancellation point between
-// replications: once ctx is done the loop abandons the remaining
-// replications and returns ctx's error. An uncancelled run is
-// bit-identical to RunAveraged.
-func (ev *Evaluator) RunAveragedCtx(ctx context.Context, cfg Config, runs int, seed uint64) (*Result, error) {
+// Replicate is the replication loop: it runs the configuration up to
+// `runs` times with derived seeds (seed, seed+1, ...) and averages the
+// replications that ran, returning that count. A nil gate spends the
+// whole budget — exactly RunAveraged. With a gate, `runs` is a budget:
+// after each replication (from the gate's MinRuns on) the accumulated PDR
+// samples are tested against it, and the loop stops as soon as the
+// confidence interval settles which side of the gate's band the
+// configuration is on; a gate that never decides reproduces the ungated
+// loop bit-for-bit. ctx (nil never cancels) is checked between
+// replications: once it is done the loop abandons the remaining ones and
+// returns its error. A replication is the atomic unit of work, so
+// cancellation keeps every completed Result exact while bounding the
+// abandoned work to one simulator run.
+func (ev *Evaluator) Replicate(ctx context.Context, cfg Config, runs int, seed uint64, gate *Gate) (*Result, int, error) {
 	if runs < 1 {
 		runs = 1
 	}
-	if err := ctxErr(ctx); err != nil {
-		return nil, err
+	ctxErr := func() error {
+		if ctx == nil {
+			return nil
+		}
+		return ctx.Err()
+	}
+	if err := ctxErr(); err != nil {
+		return nil, 0, err
 	}
 	// The first repetition's (fresh) Result doubles as the accumulator and
 	// the return value; later repetitions land in the reused scratch.
-	acc, err := ev.Run(cfg, seed)
-	if err != nil {
-		return nil, err
-	}
-	ev.pdrs = append(ev.pdrs[:0], acc.PDR)
-	for r := 1; r < runs; r++ {
-		if err := ctxErr(ctx); err != nil {
-			return nil, err
-		}
-		if err := ev.runInto(cfg, seed+uint64(r), &ev.scratch); err != nil {
-			return nil, err
-		}
-		ev.pdrs = append(ev.pdrs, ev.scratch.PDR)
-		acc.Accumulate(&ev.scratch)
-	}
-	acc.Finalize(runs, cfg.BatteryJ, ev.pdrs)
-	return acc, nil
-}
-
-// RunAdaptive runs the configuration like RunAveraged but treats `runs`
-// as a replication *budget*: after each replication (from the gate's
-// MinRuns on) the accumulated PDR samples are tested against the gate,
-// and the loop stops as soon as the confidence interval settles which
-// side of the gate's band the configuration is on. Replications keep the
-// sequential derived seeds (seed, seed+1, ...), so a gate that never
-// decides reproduces RunAveraged bit-for-bit. Returns the averaged
-// Result over however many replications actually ran, and that count.
-func (ev *Evaluator) RunAdaptive(cfg Config, runs int, seed uint64, gate Gate) (*Result, int, error) {
-	return ev.RunAdaptiveCtx(context.Background(), cfg, runs, seed, gate)
-}
-
-// RunAdaptiveCtx is RunAdaptive with a cancellation point between
-// replications (same contract as RunAveragedCtx: an uncancelled run is
-// bit-identical to RunAdaptive).
-func (ev *Evaluator) RunAdaptiveCtx(ctx context.Context, cfg Config, runs int, seed uint64, gate Gate) (*Result, int, error) {
-	if runs < 1 {
-		runs = 1
-	}
-	if err := ctxErr(ctx); err != nil {
-		return nil, 0, err
-	}
 	acc, err := ev.Run(cfg, seed)
 	if err != nil {
 		return nil, 0, err
 	}
 	ev.pdrs = append(ev.pdrs[:0], acc.PDR)
 	ran := 1
-	for r := 1; r < runs && !gate.Decided(ev.pdrs); r++ {
-		if err := ctxErr(ctx); err != nil {
+	for ; ran < runs && (gate == nil || !gate.Decided(ev.pdrs)); ran++ {
+		if err := ctxErr(); err != nil {
 			return nil, 0, err
 		}
-		if err := ev.runInto(cfg, seed+uint64(r), &ev.scratch); err != nil {
+		if err := ev.runInto(cfg, seed+uint64(ran), &ev.scratch); err != nil {
 			return nil, 0, err
 		}
 		ev.pdrs = append(ev.pdrs, ev.scratch.PDR)
 		acc.Accumulate(&ev.scratch)
-		ran++
 	}
 	acc.Finalize(ran, cfg.BatteryJ, ev.pdrs)
 	return acc, ran, nil

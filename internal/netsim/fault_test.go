@@ -260,57 +260,3 @@ func TestEvaluateRobustEmptyFamily(t *testing.T) {
 		t.Fatalf("PDRQuantile on empty family = %v, want nominal %v", got, rr.Nominal.PDR)
 	}
 }
-
-// TestEvaluateRobustAdaptiveAllPass: when every scenario of the family
-// sits comfortably above the gate's band, the adaptive evaluation must
-// still visit the whole family (all-pass is not a reason to skip
-// scenarios — only to shorten their replication budgets), decide each
-// scenario at the gate's MinRuns, and report the saved replications; the
-// nominal run keeps its full budget bit-for-bit.
-func TestEvaluateRobustAdaptiveAllPass(t *testing.T) {
-	cfg := shortCfg([]int{0, 1, 3, 6}, TDMA, Star, 2, 30)
-	quietChannel(&cfg)
-	// Faults at locations the design does not use are inert: each
-	// scenario's PDR equals the (high) nominal PDR, far above the band.
-	scenarios := []*fault.Scenario{
-		{Name: "inert-2", Failures: []fault.NodeFailure{{Location: 2, At: 7.5}}},
-		{Name: "inert-4", Failures: []fault.NodeFailure{{Location: 4, At: 7.5}}},
-		{Name: "inert-5", Failures: []fault.NodeFailure{{Location: 5, At: 7.5}}},
-	}
-	const runs = 6
-	gate := Gate{PDRMin: 0.5, Margin: 0.05}
-	rr, saved, err := NewEvaluator().EvaluateRobustAdaptive(cfg, runs, 9, scenarios, gate)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rr.Scenarios) != len(scenarios) {
-		t.Fatalf("all-pass family must be fully evaluated: got %d of %d scenarios",
-			len(rr.Scenarios), len(scenarios))
-	}
-	for _, m := range rr.Scenarios {
-		if m.PDR < gate.PDRMin+gate.Margin {
-			t.Fatalf("scenario %s PDR %v not above the band — test premise broken", m.Scenario.Name, m.PDR)
-		}
-	}
-	if saved <= 0 {
-		t.Fatal("all-pass family saved no replications — short-circuit path not taken")
-	}
-	// Inert faults leave the per-replication PDRs identical, so the CI
-	// collapses and every scenario decides at the 2-replication minimum.
-	if want := len(scenarios) * (runs - 2); saved != want {
-		t.Fatalf("saved %d replications, want %d (decide at MinRuns)", saved, want)
-	}
-	// The nominal result is exempt from gating: full budget, identical to
-	// the exhaustive evaluation's nominal.
-	full, err := EvaluateRobust(cfg, runs, 9, scenarios)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rr.Nominal, full.Nominal) {
-		t.Fatal("adaptive nominal diverged from exhaustive nominal")
-	}
-	if rr.WorstScenario == "" || rr.WorstPDR > rr.Nominal.PDR {
-		t.Fatalf("envelope malformed: worst %v (%q) vs nominal %v",
-			rr.WorstPDR, rr.WorstScenario, rr.Nominal.PDR)
-	}
-}

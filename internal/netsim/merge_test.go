@@ -1,11 +1,10 @@
 package netsim
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"testing"
-
-	"hiopt/internal/fault"
 )
 
 // TestTQuantilePinnedValues pins the Student-t quantile helper against
@@ -161,34 +160,37 @@ func TestGateDecided(t *testing.T) {
 // degrade to their exhaustive counterparts bit-for-bit.
 func neverGate(budget int) Gate { return Gate{MinRuns: budget + 1} }
 
-// TestRunAdaptiveUndecidedMatchesRunAveraged: with a gate that never
-// decides, RunAdaptive must spend the whole budget and return the
-// sequential RunAveraged result bit-for-bit.
-func TestRunAdaptiveUndecidedMatchesRunAveraged(t *testing.T) {
+// TestReplicateUndecidedMatchesRunAveraged: with a gate that never
+// decides, Replicate must spend the whole budget and return the
+// sequential RunAveraged result bit-for-bit — as must a nil gate.
+func TestReplicateUndecidedMatchesRunAveraged(t *testing.T) {
 	cfg := shortCfg([]int{0, 1, 3, 6}, CSMA, Mesh, 2, 20)
 	want, err := RunAveraged(cfg, 4, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, ran, err := NewEvaluator().RunAdaptive(cfg, 4, 7, neverGate(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ran != 4 {
-		t.Fatalf("ran = %d, want the full budget 4", ran)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("undecided RunAdaptive diverged:\n got  %+v\nwant %+v", got, want)
+	never := neverGate(4)
+	for _, gate := range []*Gate{&never, nil} {
+		got, ran, err := NewEvaluator().Replicate(nil, cfg, 4, 7, gate)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ran != 4 {
+			t.Fatalf("gate %v: ran = %d, want the full budget 4", gate, ran)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("gate %v: undecided Replicate diverged:\n got  %+v\nwant %+v", gate, got, want)
+		}
 	}
 }
 
-// TestRunAdaptiveStopsEarly: a configuration far above a loose bound
+// TestReplicateStopsEarly: a configuration far above a loose bound
 // stops at the MinRuns floor, and the truncated average is bit-identical
 // to RunAveraged over the replications that ran.
-func TestRunAdaptiveStopsEarly(t *testing.T) {
+func TestReplicateStopsEarly(t *testing.T) {
 	cfg := shortCfg([]int{0, 1, 3, 6}, TDMA, Star, 2, 20)
 	gate := Gate{PDRMin: 0.05, Margin: 0.01, Confidence: 0.95}
-	got, ran, err := NewEvaluator().RunAdaptive(cfg, 6, 7, gate)
+	got, ran, err := NewEvaluator().Replicate(context.Background(), cfg, 6, 7, &gate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,46 +203,5 @@ func TestRunAdaptiveStopsEarly(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("early-stopped result diverged from RunAveraged(%d):\n got  %+v\nwant %+v", ran, got, want)
-	}
-}
-
-// TestEvaluateRobustAdaptiveUndecidedMatchesExhaustive: the adaptive
-// robust envelope with a never-deciding gate must equal EvaluateRobust
-// bit-for-bit with zero savings; with a decisive gate it must save
-// replications while keeping the same worst-case scenario verdict
-// direction on this clearly-infeasible-under-failure family.
-func TestEvaluateRobustAdaptiveUndecidedMatchesExhaustive(t *testing.T) {
-	cfg := shortCfg([]int{0, 1, 3, 6}, TDMA, Star, 2, 20)
-	scenarios := fault.ScenarioGen{Seed: 1}.KNodeFailures(cfg.Locations, cfg.CoordinatorLoc, 1, cfg.Duration)
-	if len(scenarios) == 0 {
-		t.Fatal("no scenarios generated")
-	}
-	const runs, seed = 3, 5
-	want, err := EvaluateRobust(cfg, runs, seed, scenarios)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, saved, err := NewEvaluator().EvaluateRobustAdaptive(cfg, runs, seed, scenarios, neverGate(runs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if saved != 0 {
-		t.Fatalf("saved = %d, want 0 for a never-deciding gate", saved)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("undecided adaptive envelope diverged:\n got  %+v\nwant %+v", got, want)
-	}
-
-	loose := Gate{PDRMin: 0.05, Margin: 0.01, Confidence: 0.95}
-	adaptive, saved, err := NewEvaluator().EvaluateRobustAdaptive(cfg, runs, seed, scenarios, loose)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if saved <= 0 {
-		t.Fatalf("saved = %d, want > 0 for a decisive gate", saved)
-	}
-	if (adaptive.WorstPDR >= loose.PDRMin) != (want.WorstPDR >= loose.PDRMin) {
-		t.Fatalf("adaptive verdict flipped: worst PDR %.4f vs exhaustive %.4f around bound %.2f",
-			adaptive.WorstPDR, want.WorstPDR, loose.PDRMin)
 	}
 }

@@ -85,16 +85,17 @@ func (ev *Evaluator) EvaluateRobust(cfg Config, runs int, seed uint64, scenarios
 		if err != nil {
 			return nil, err
 		}
-		rr.add(sc, r)
+		rr.Add(sc, r)
 	}
 	return rr, nil
 }
 
-// add appends one scenario's averaged Result to the envelope, updating
-// the worst-case PDR and lifetime minima. Both the exhaustive and the
-// adaptive robust evaluations reduce through this single merge step, so
-// they agree wherever they evaluate the same scenarios.
-func (rr *RobustResult) add(sc *fault.Scenario, r *Result) {
+// Add appends one scenario's averaged Result to the envelope, updating
+// the worst-case PDR and lifetime minima. The sequential EvaluateRobust
+// and the engine's family evaluation (gated or not) reduce through this
+// single merge step, so they agree wherever they evaluate the same
+// scenarios.
+func (rr *RobustResult) Add(sc *fault.Scenario, r *Result) {
 	m := ScenarioMetrics{
 		Scenario:   sc,
 		Result:     r,
@@ -110,45 +111,6 @@ func (rr *RobustResult) add(sc *fault.Scenario, r *Result) {
 	if len(rr.Scenarios) == 1 || m.NLTDays < rr.WorstNLTDays {
 		rr.WorstNLTDays = m.NLTDays
 	}
-}
-
-// EvaluateRobustAdaptive is EvaluateRobust with confidence-gated
-// replication budgets on the scenario runs: each scenario's replications
-// stop (via RunAdaptive) as soon as the gate settles which side of the
-// reliability band its PDR is on — a scenario already breaching the
-// envelope needs no further precision, and one comfortably above it
-// needs none either. The nominal run keeps the full budget, since its
-// metrics are the ones reported for the configuration. Seeds stay the
-// common-random-number derived sequence, so a never-deciding gate makes
-// this bit-identical to EvaluateRobust. The second return value counts
-// the replications saved versus `runs` per scenario.
-func (ev *Evaluator) EvaluateRobustAdaptive(cfg Config, runs int, seed uint64, scenarios []*fault.Scenario, gate Gate) (*RobustResult, int, error) {
-	if runs < 1 {
-		runs = 1
-	}
-	base := cfg
-	base.Scenario = nil
-	nominal, err := ev.RunAveraged(base, runs, seed)
-	if err != nil {
-		return nil, 0, err
-	}
-	rr := &RobustResult{
-		Nominal:      nominal,
-		WorstPDR:     nominal.PDR,
-		WorstNLTDays: nominal.NLTDays,
-	}
-	saved := 0
-	for _, sc := range scenarios {
-		c := base
-		c.Scenario = sc
-		r, ran, err := ev.RunAdaptive(c, runs, seed, gate)
-		if err != nil {
-			return nil, 0, err
-		}
-		saved += runs - ran
-		rr.add(sc, r)
-	}
-	return rr, saved, nil
 }
 
 // EvaluateRobust is the one-shot convenience wrapper over a fresh

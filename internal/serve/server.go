@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 
@@ -155,16 +156,26 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// decodeProfile reads one POST /v1/design body the way the daemon
+// accepts it: at most 64 KiB (past the cap w, when non-nil, is told to
+// close the connection), strict JSON with unknown fields rejected. The
+// returned profile is raw — Normalize it before use.
+func decodeProfile(w http.ResponseWriter, body io.ReadCloser) (Profile, error) {
+	dec := json.NewDecoder(http.MaxBytesReader(w, body, 1<<16))
+	dec.DisallowUnknownFields()
+	var raw Profile
+	err := dec.Decode(&raw)
+	return raw, err
+}
+
 func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		w.Header().Set("Allow", http.MethodPost)
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16))
-	dec.DisallowUnknownFields()
-	var raw Profile
-	if err := dec.Decode(&raw); err != nil {
+	raw, err := decodeProfile(w, r.Body)
+	if err != nil {
 		http.Error(w, "bad profile: "+err.Error(), http.StatusBadRequest)
 		return
 	}
