@@ -11,7 +11,7 @@ GO ?= go
 
 .PHONY: check build test vet fmt race bench-smoke benchcmp benchcmp-auto engine-smoke robust-smoke milp-smoke gamma-smoke cache-smoke serve-smoke pareto-smoke fuzz-smoke
 
-check: build test vet race fmt gamma-smoke robust-smoke serve-smoke pareto-smoke fuzz-smoke benchcmp-auto
+check: build test vet race fmt gamma-smoke robust-smoke cache-smoke serve-smoke pareto-smoke fuzz-smoke benchcmp-auto
 
 build:
 	$(GO) build ./...
@@ -88,20 +88,39 @@ engine-smoke:
 	$(GO) test -race -count=1 ./internal/engine/
 	$(GO) test -run=NONE -bench='Micro/engine_' -benchtime=1x .
 
-# The persistent-cache gate: a cold hisweep populates a cache file, a
-# second process restarts from it, and the warm run must (a) produce a
-# bit-identical CSV and (b) answer >= 90% of its submissions without
-# re-simulating (the "N simulated" figure of the engine stats line).
-cache-smoke:
-	@rm -f /tmp/hiopt-cache-smoke.bin /tmp/hiopt-cache-cold.csv /tmp/hiopt-cache-warm.csv
-	$(GO) run ./cmd/hisweep -duration 5 -cachefile /tmp/hiopt-cache-smoke.bin -csv /tmp/hiopt-cache-cold.csv > /tmp/hiopt-cache-cold.out
-	$(GO) run ./cmd/hisweep -duration 5 -cachefile /tmp/hiopt-cache-smoke.bin -csv /tmp/hiopt-cache-warm.csv > /tmp/hiopt-cache-warm.out
-	cmp /tmp/hiopt-cache-cold.csv /tmp/hiopt-cache-warm.csv
-	@awk '/^engine:/ { sub(",", "", $$2); sub(",", "", $$4); sub(",", "", $$2); \
+# The persistent-cache and profiling gate. (a) A cold hisweep populates a
+# cache file and a second process restarts from it: the warm run must
+# produce a bit-identical CSV and answer >= 90% of its submissions
+# without re-simulating (the "N simulated" figure of the engine stats
+# line). (b) The same cold/warm pair for hiopt, whose warm run must print
+# the same optimal configuration block. (c) hiopt, hisim, hisweep and
+# hibench -exp t1 each leave a non-empty CPU and heap profile.
+CACHE_WARM_CHECK = awk '/^engine:/ { sub(",", "", $$2); sub(",", "", $$4); \
 		if ($$4 + 0 > 0.10 * $$2) { \
 			printf "cache-smoke: warm run re-simulated %s of %s submissions (> 10%%)\n", $$4, $$2; exit 1; } \
 		else { printf "cache-smoke: warm run re-simulated %s of %s submissions\n", $$4, $$2; ok = 1 } } \
-		END { if (!ok) { print "cache-smoke: no engine stats line in warm output"; exit 1 } }' /tmp/hiopt-cache-warm.out
+		END { if (!ok) { print "cache-smoke: no engine stats line in warm output"; exit 1 } }'
+cache-smoke:
+	@rm -f /tmp/hiopt-cache-* /tmp/hiopt-prof-*
+	$(GO) run ./cmd/hisweep -duration 5 -cachefile /tmp/hiopt-cache-smoke.bin -csv /tmp/hiopt-cache-cold.csv > /tmp/hiopt-cache-cold.out
+	$(GO) run ./cmd/hisweep -duration 5 -cachefile /tmp/hiopt-cache-smoke.bin -csv /tmp/hiopt-cache-warm.csv > /tmp/hiopt-cache-warm.out
+	cmp /tmp/hiopt-cache-cold.csv /tmp/hiopt-cache-warm.csv
+	@$(CACHE_WARM_CHECK) /tmp/hiopt-cache-warm.out
+	$(GO) run ./cmd/hiopt -duration 5 -cachefile /tmp/hiopt-cache-opt.bin > /tmp/hiopt-cache-opt-cold.out
+	$(GO) run ./cmd/hiopt -duration 5 -cachefile /tmp/hiopt-cache-opt.bin > /tmp/hiopt-cache-opt-warm.out
+	@sed -n '/^optimal configuration/,/^  lifetime/p' /tmp/hiopt-cache-opt-cold.out > /tmp/hiopt-cache-opt-cold.best
+	@sed -n '/^optimal configuration/,/^  lifetime/p' /tmp/hiopt-cache-opt-warm.out > /tmp/hiopt-cache-opt-warm.best
+	@test -s /tmp/hiopt-cache-opt-cold.best || { echo "cache-smoke: no optimal configuration in the cold hiopt output"; exit 1; }
+	cmp /tmp/hiopt-cache-opt-cold.best /tmp/hiopt-cache-opt-warm.best
+	@$(CACHE_WARM_CHECK) /tmp/hiopt-cache-opt-warm.out
+	$(GO) run ./cmd/hiopt -duration 5 -cpuprofile /tmp/hiopt-prof-hiopt.cpu -memprofile /tmp/hiopt-prof-hiopt.mem > /dev/null
+	$(GO) run ./cmd/hisim -duration 5 -cpuprofile /tmp/hiopt-prof-hisim.cpu -memprofile /tmp/hiopt-prof-hisim.mem > /dev/null
+	$(GO) run ./cmd/hisweep -duration 5 -cpuprofile /tmp/hiopt-prof-hisweep.cpu -memprofile /tmp/hiopt-prof-hisweep.mem > /dev/null
+	$(GO) run ./cmd/hibench -exp t1 -cpuprofile /tmp/hiopt-prof-hibench.cpu -memprofile /tmp/hiopt-prof-hibench.mem > /dev/null
+	@for c in hiopt hisim hisweep hibench; do for k in cpu mem; do \
+		test -s /tmp/hiopt-prof-$$c.$$k || { echo "cache-smoke: $$c left no $$k profile"; exit 1; }; \
+	done; done
+	@echo "cache-smoke: warm restarts re-simulate <= 10% with identical output, every profile written"
 
 # The ε-constraint front gate: (a) the sweep must select the exact
 # per-bound optima of independent fresh Algorithm 1 runs while its class

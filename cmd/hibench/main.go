@@ -35,32 +35,21 @@ import (
 	"strings"
 	"time"
 
-	"hiopt/internal/engine"
+	"hiopt/internal/cli"
 	"hiopt/internal/experiments"
-	"hiopt/internal/profiling"
 )
 
 func main() {
+	c := cli.New(flag.CommandLine, "hibench")
+	fid := c.Fidelity()
 	var (
-		expFlag    = flag.String("exp", "all", "comma-separated experiment ids (t1,f1,f3,r1,r2,r3,a1..a11,pf,rb,gm,fr,all)")
-		duration   = flag.Float64("duration", 60, "simulation horizon in seconds")
-		runs       = flag.Int("runs", 1, "runs to average")
-		seed       = flag.Uint64("seed", 1, "master random seed")
-		paper      = flag.Bool("paper", false, "paper fidelity (600 s × 3 runs)")
-		csvPath    = flag.String("csv", "", "write the F3 scatter to this CSV file")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		benchJSON  = flag.String("benchjson", "", "measure the simulator micro-benchmarks and write BENCH_simcore.json-style output to this file")
-		cmp        = flag.Bool("cmp", false, "compare -benchjson files: hibench -cmp OLD NEW [NEW...] gates the minimum ns/op and the maximum allocs/op and B/op over the NEW runs (exits non-zero on >10% regressions)")
-		nsDelta    = flag.Float64("nsdelta", 0, "-cmp ns/op regression threshold (0 = the default 0.10; allocs/op and B/op always gate at 0.10 — widen this on noisy shared machines where timings flap but allocation counts stay exact)")
-		cacheFile  = flag.String("cachefile", "", "persistent result cache: load completed simulations from this file and append fresh ones, so a repeated run at the same fidelity starts warm")
-		shards     = flag.Int("shards", 0, "engine cache shard count, a power of two (0 = default)")
+		expFlag   = flag.String("exp", "all", "comma-separated experiment ids (t1,f1,f3,r1,r2,r3,a1..a11,pf,rb,gm,fr,all)")
+		csvPath   = flag.String("csv", "", "write the F3 scatter to this CSV file")
+		benchJSON = flag.String("benchjson", "", "measure the simulator micro-benchmarks and write BENCH_simcore.json-style output to this file")
+		cmp       = flag.Bool("cmp", false, "compare -benchjson files: hibench -cmp OLD NEW [NEW...] gates the minimum ns/op and the maximum allocs/op and B/op over the NEW runs (exits non-zero on >10% regressions)")
+		nsDelta   = flag.Float64("nsdelta", 0, "-cmp ns/op regression threshold (0 = the default 0.10; allocs/op and B/op always gate at 0.10 — widen this on noisy shared machines where timings flap but allocation counts stay exact)")
 	)
-	flag.Parse()
-	if err := engine.CheckShards(*shards); err != nil {
-		fmt.Fprintln(os.Stderr, "hibench:", err)
-		os.Exit(1)
-	}
+	c.Parse(os.Args[1:])
 
 	if *cmp {
 		if flag.NArg() < 2 {
@@ -71,34 +60,8 @@ func main() {
 		return
 	}
 
-	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hibench:", err)
-		os.Exit(1)
-	}
-
-	fid := experiments.Fidelity{Duration: *duration, Runs: *runs, Seed: *seed}
-	if *paper {
-		fid = experiments.Paper
-		fid.Seed = *seed
-	}
-	suite := experiments.NewSuite(fid, os.Stdout)
-	var eng *engine.Engine
-	if *cacheFile != "" || *shards != 0 {
-		eng, err = engine.NewSharded(0, *shards)
-		if err == nil && *cacheFile != "" {
-			var n int
-			n, err = eng.AttachCacheFile(*cacheFile, fid.Sig())
-			if n > 0 {
-				fmt.Printf("cache: loaded %d entries from %s\n", n, *cacheFile)
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hibench:", err)
-			os.Exit(1)
-		}
-		suite.SetEngine(eng)
-	}
+	suite := experiments.NewSuite(*fid, os.Stdout)
+	suite.SetEngine(c.Start(fid.Sig(), 0))
 
 	want := map[string]bool{}
 	for _, id := range strings.Split(*expFlag, ",") {
@@ -112,8 +75,7 @@ func main() {
 		}
 		t0 := time.Now()
 		if err := fn(); err != nil {
-			fmt.Fprintf(os.Stderr, "hibench %s: %v\n", id, err)
-			os.Exit(1)
+			c.Check(fmt.Errorf("%s: %w", id, err))
 		}
 		elapsed := time.Since(t0)
 		expSeconds[id] = elapsed.Seconds()
@@ -155,22 +117,9 @@ func main() {
 		run("fr", func() error { _, err := suite.FR(nil, 0, *csvPath); return err })
 	}
 
-	if eng != nil {
-		if err := eng.CloseSpill(); err != nil {
-			fmt.Fprintln(os.Stderr, "hibench:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("engine: %s\n", suite.EngineStats())
-	}
 	if *benchJSON != "" {
-		if err := writeBenchJSON(*benchJSON, expSeconds); err != nil {
-			fmt.Fprintln(os.Stderr, "hibench:", err)
-			os.Exit(1)
-		}
+		c.Check(writeBenchJSON(*benchJSON, expSeconds))
 		fmt.Printf("[bench JSON written to %s]\n", *benchJSON)
 	}
-	if err := stopProf(); err != nil {
-		fmt.Fprintln(os.Stderr, "hibench:", err)
-		os.Exit(1)
-	}
+	c.Close()
 }

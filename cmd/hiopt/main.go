@@ -14,20 +14,18 @@ import (
 	"os"
 	"time"
 
+	"hiopt/internal/cli"
 	"hiopt/internal/core"
 	"hiopt/internal/design"
-	"hiopt/internal/engine"
 	"hiopt/internal/lp"
 	"hiopt/internal/report"
 )
 
 func main() {
+	c := cli.New(flag.CommandLine, "hiopt")
+	fid := c.Fidelity()
 	var (
 		pdrMin    = flag.Float64("pdrmin", 0.9, "minimum packet delivery ratio in [0,1]")
-		duration  = flag.Float64("duration", 60, "simulation horizon T_sim in seconds")
-		runs      = flag.Int("runs", 1, "simulation runs averaged per evaluation")
-		seed      = flag.Uint64("seed", 1, "master random seed")
-		paper     = flag.Bool("paper", false, "use the paper's full fidelity (600 s × 3 runs)")
 		pool      = flag.Int("pool", 0, "MILP solution-pool cap per iteration (0 = unlimited)")
 		noAlpha   = flag.Bool("noalpha", false, "disable the α-bound early termination (ablation)")
 		twoStage  = flag.Bool("twostage", false, "screen clearly-infeasible candidates with short simulations")
@@ -42,54 +40,27 @@ func main() {
 		gammaFlag = flag.Float64("gamma", 0, "Γ protection budget: compile the Γ-robust relaxation into the proposer (> 0 implies -robust)")
 		robustMin = flag.Float64("robustpdrmin", 0, "robust reliability floor (0 = -pdrmin; the worst-case PDR ceiling is (N−0.75)/N)")
 		maxIter   = flag.Int("maxiter", 0, "Algorithm 1 iteration cap (0 = unlimited)")
-		cacheFile = flag.String("cachefile", "", "persistent result cache: load completed simulations from this file and append fresh ones, so a repeated search at the same fidelity starts warm")
-		shards    = flag.Int("shards", 0, "engine cache shard count, a power of two (0 = default)")
 	)
-	flag.Parse()
-	if err := engine.CheckShards(*shards); err != nil {
-		fmt.Fprintln(os.Stderr, "hiopt:", err)
-		os.Exit(1)
-	}
+	c.Parse(os.Args[1:])
 
 	pr := design.PaperProblem(*pdrMin)
-	pr.Duration = *duration
-	pr.Runs = *runs
-	pr.Seed = *seed
-	if *paper {
-		pr.Duration = 600
-		pr.Runs = 3
-	}
+	pr.Duration, pr.Runs, pr.Seed = fid.Duration, fid.Runs, fid.Seed
 
 	if *lpOut != "" {
 		f, err := os.Create(*lpOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hiopt:", err)
-			os.Exit(1)
-		}
+		c.Check(err)
 		defer f.Close()
-		if err := core.WriteRelaxationLP(pr, f); err != nil {
-			fmt.Fprintln(os.Stderr, "hiopt:", err)
-			os.Exit(1)
-		}
+		c.Check(core.WriteRelaxationLP(pr, f))
 		fmt.Printf("MILP relaxation written to %s\n", *lpOut)
 		return
 	}
 	if *mpsOut != "" {
 		comp, _, err := core.CompileMILP(pr)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hiopt:", err)
-			os.Exit(1)
-		}
+		c.Check(err)
 		f, err := os.Create(*mpsOut)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hiopt:", err)
-			os.Exit(1)
-		}
+		c.Check(err)
 		defer f.Close()
-		if err := lp.WriteMPS(f, comp, "hiopt"); err != nil {
-			fmt.Fprintln(os.Stderr, "hiopt:", err)
-			os.Exit(1)
-		}
+		c.Check(lp.WriteMPS(f, comp, "hiopt"))
 		fmt.Printf("MILP relaxation written to %s (MPS)\n", *mpsOut)
 		return
 	}
@@ -109,36 +80,11 @@ func main() {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		}
 	}
-	var eng *engine.Engine
-	if *cacheFile != "" || *shards != 0 {
-		var err error
-		eng, err = engine.NewSharded(0, *shards)
-		if err == nil && *cacheFile != "" {
-			var n int
-			n, err = eng.AttachCacheFile(*cacheFile, engine.ContextSig(pr.Duration, pr.Runs, pr.Seed))
-			if n > 0 {
-				fmt.Printf("cache:        loaded %d entries from %s\n", n, *cacheFile)
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hiopt:", err)
-			os.Exit(1)
-		}
-		opts.Engine = eng
-	}
+	opts.Engine = c.Start(fid.Sig(), 0)
 	t0 := time.Now()
 	out, err := core.NewOptimizer(pr, opts).Run()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hiopt:", err)
-		os.Exit(1)
-	}
+	c.Check(err)
 	elapsed := time.Since(t0)
-	if eng != nil {
-		if err := eng.CloseSpill(); err != nil {
-			fmt.Fprintln(os.Stderr, "hiopt:", err)
-			os.Exit(1)
-		}
-	}
 
 	fmt.Printf("status:       %s\n", out.Status)
 	fmt.Printf("iterations:   %d\n", len(out.Iterations))
@@ -151,7 +97,6 @@ func main() {
 		fmt.Printf("MILP redos:   %d stale redos, %d pivots discarded, %d pivot-capped LP runs\n",
 			out.MILPStaleRedos, out.MILPDiscardedPivots, out.MILPIterationCaps)
 	}
-	fmt.Printf("engine:       %s\n", out.Engine)
 	fmt.Printf("α-terminated: %v\n", out.TerminatedByAlpha)
 	if opts.Robust.Enabled {
 		fmt.Printf("robust:       k=%d, Γ=%g — %d nominally feasible candidates rejected by the fault screen\n",
@@ -160,6 +105,7 @@ func main() {
 	fmt.Printf("wall time:    %s\n", elapsed.Round(time.Millisecond))
 	if out.Best == nil {
 		fmt.Println("result:       no feasible configuration")
+		c.Close()
 		os.Exit(2)
 	}
 	b := out.Best
@@ -177,8 +123,8 @@ func main() {
 		for i, it := range out.Iterations {
 			best := ""
 			if len(it.Candidates) > 0 {
-				c := it.Candidates[0] // sorted by simulated power
-				best = fmt.Sprintf("%v %s", c.Point, report.Pct(c.PDR))
+				cand := it.Candidates[0] // sorted by simulated power
+				best = fmt.Sprintf("%v %s", cand.Point, report.Pct(cand.PDR))
 			}
 			rows = append(rows, []string{
 				fmt.Sprintf("%d", i),
@@ -190,4 +136,5 @@ func main() {
 		}
 		report.Table(os.Stdout, []string{"iter", "P̄* (analytic)", "pool", "feasible", "cheapest simulated"}, rows)
 	}
+	c.Close()
 }

@@ -32,7 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"hiopt/internal/engine"
+	"hiopt/internal/cli"
 	"hiopt/internal/serve"
 )
 
@@ -51,39 +51,25 @@ var profiles = []string{
 }
 
 func main() {
+	c := cli.New(flag.CommandLine, "hiserve-bench")
 	var (
 		url      = flag.String("url", "", "bench a live daemon at this base URL (default: in-process server)")
 		clients  = flag.Int("clients", 1000, "concurrent clients")
 		requests = flag.Int("requests", 0, "total requests (0 = 2 x clients)")
 		workers  = flag.Int("workers", 0, "in-process engine workers (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 0, "in-process engine cache shards, a power of two (0 = default)")
 		jsonOut  = flag.String("json", "", "append the result as benchmark \"ServeLoad\" to this BENCH_simcore.json file")
 	)
-	flag.Parse()
+	c.Parse(os.Args[1:])
 	if *requests == 0 {
 		*requests = 2 * *clients
 	}
 
+	// The in-process server's engine; idle when -url names a live daemon.
+	eng := c.Start(serve.CacheSig, *workers)
 	base := *url
 	if base == "" {
-		if err := engine.CheckShards(*shards); err != nil {
-			fmt.Fprintln(os.Stderr, "hiserve-bench:", err)
-			os.Exit(1)
-		}
-		w := *workers
-		if w == 0 {
-			w = serve.DefaultWorkers()
-		}
-		eng, err := engine.NewSharded(w, *shards)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hiserve-bench:", err)
-			os.Exit(1)
-		}
-		s, err := serve.New(serve.Config{Engine: eng, Capacity: 4 * w, MaxQueue: 4 * *clients})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hiserve-bench:", err)
-			os.Exit(1)
-		}
+		s, err := serve.New(serve.Config{Engine: eng, Capacity: 4 * eng.Workers(), MaxQueue: 4 * *clients})
+		c.Check(err)
 		ts := httptest.NewServer(s)
 		defer ts.Close()
 		base = ts.URL
@@ -147,8 +133,7 @@ func main() {
 	elapsed := time.Since(start)
 
 	if fails.Load() > 0 {
-		fmt.Fprintf(os.Stderr, "hiserve-bench: %d of %d requests failed\n", fails.Load(), *requests)
-		os.Exit(1)
+		c.Check(fmt.Errorf("%d of %d requests failed", fails.Load(), *requests))
 	}
 	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
 	pct := func(p float64) time.Duration {
@@ -167,12 +152,10 @@ func main() {
 	fmt.Printf("  determinism  ok (%d profiles byte-stable)\n", len(profiles))
 
 	if *jsonOut != "" {
-		if err := appendResult(*jsonOut, len(latencies), *clients, dps, p50, p99); err != nil {
-			fmt.Fprintln(os.Stderr, "hiserve-bench:", err)
-			os.Exit(1)
-		}
+		c.Check(appendResult(*jsonOut, len(latencies), *clients, dps, p50, p99))
 		fmt.Printf("  appended ServeLoad to %s\n", *jsonOut)
 	}
+	c.Close()
 }
 
 // appendResult merges a "ServeLoad" entry into an existing

@@ -22,16 +22,9 @@ import (
 	"syscall"
 	"time"
 
-	"hiopt/internal/engine"
+	"hiopt/internal/cli"
 	"hiopt/internal/serve"
 )
-
-// serveCacheSig is the cache-file context signature of the daemon. The
-// single-tenant CLIs sign their files with the run's (duration, runs,
-// seed); the daemon serves every fidelity from one file, with the
-// per-request fidelity folded into each tenant's key salt instead — so
-// the file itself carries a fixed service signature.
-const serveCacheSig = 0x68697365727665 // "hiserve"
 
 // Connection timeouts of the daemon's HTTP server, so a slow or stalled
 // client cannot hold a connection open indefinitely: the request header
@@ -62,50 +55,27 @@ func newServer(addr string, h http.Handler) *http.Server {
 }
 
 func main() {
+	c := cli.New(flag.CommandLine, "hiserve")
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
 		workers   = flag.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS)")
-		shards    = flag.Int("shards", 0, "engine cache shard count, a power of two (0 = default)")
 		capacity  = flag.Int("capacity", 0, "admission capacity in nominal-request units (0 = 2 x workers)")
 		maxQueue  = flag.Int("maxqueue", 0, "admission wait-queue bound; beyond it requests get 429 (0 = 8 x capacity)")
 		robustWt  = flag.Int("robustweight", 0, "admission weight of a gamma-robust request (0 = 4)")
-		cacheFile = flag.String("cachefile", "", "persistent result cache: load completed simulations at startup and spill fresh ones, so a restarted daemon answers repeat tenants warm")
 		drainWait = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain window")
 	)
-	flag.Parse()
+	c.Parse(os.Args[1:])
 
-	if err := engine.CheckShards(*shards); err != nil {
-		fmt.Fprintln(os.Stderr, "hiserve:", err)
-		os.Exit(1)
-	}
-	w := *workers
-	if w == 0 {
-		w = serve.DefaultWorkers()
-	}
-	eng, err := engine.NewSharded(w, *shards)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hiserve:", err)
-		os.Exit(1)
-	}
-	if *cacheFile != "" {
-		n, err := eng.AttachCacheFile(*cacheFile, serveCacheSig)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hiserve:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("hiserve: cache: loaded %d entries from %s\n", n, *cacheFile)
-	}
-
+	// The daemon serves every fidelity from one cache file, so the file
+	// carries serve.CacheSig rather than a run's fidelity signature.
+	eng := c.Start(serve.CacheSig, *workers)
 	s, err := serve.New(serve.Config{
 		Engine:       eng,
 		Capacity:     *capacity,
 		MaxQueue:     *maxQueue,
 		RobustWeight: *robustWt,
 	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hiserve:", err)
-		os.Exit(1)
-	}
+	c.Check(err)
 
 	srv := newServer(*addr, s)
 	errc := make(chan error, 1)
@@ -120,8 +90,7 @@ func main() {
 	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case err := <-errc:
-		fmt.Fprintln(os.Stderr, "hiserve:", err)
-		os.Exit(1)
+		c.Check(err)
 	case sig := <-sigc:
 		fmt.Printf("hiserve: %s, draining (up to %s)\n", sig, *drainWait)
 	}
@@ -131,11 +100,5 @@ func main() {
 	if err := srv.Shutdown(ctx); err != nil {
 		fmt.Fprintln(os.Stderr, "hiserve: shutdown:", err)
 	}
-	if err := eng.CloseSpill(); err != nil {
-		fmt.Fprintln(os.Stderr, "hiserve:", err)
-		os.Exit(1)
-	}
-	st := eng.Stats()
-	fmt.Printf("hiserve: done — %d submitted, %d simulated, %d cache hits\n",
-		st.Submitted, st.Simulated, st.CacheHits)
+	c.Close()
 }

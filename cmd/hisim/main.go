@@ -21,16 +21,13 @@ import (
 	"time"
 
 	"hiopt/internal/body"
+	"hiopt/internal/cli"
 	"hiopt/internal/engine"
 	"hiopt/internal/fault"
 	"hiopt/internal/netsim"
 	"hiopt/internal/phys"
 	"hiopt/internal/report"
 )
-
-// engineShards is the -shards flag: the cache shard count of every
-// engine this command builds (0 = the engine default).
-var engineShards int
 
 func parseLocs(s string) ([]int, error) {
 	var out []int
@@ -49,30 +46,24 @@ func parseLocs(s string) ([]int, error) {
 }
 
 func main() {
+	c := cli.New(flag.CommandLine, "hisim")
+	fid := c.Fidelity()
 	var (
 		locsFlag = flag.String("locs", "0,1,3,6", "comma-separated body-location indices (0=chest ... 9=back)")
 		macFlag  = flag.String("mac", "csma", "MAC protocol: csma or tdma")
 		rtFlag   = flag.String("routing", "star", "routing: star or mesh")
 		txFlag   = flag.Float64("tx", -10, "transmit power in dBm (-20, -10, or 0 for the CC2650)")
-		duration = flag.Float64("duration", 60, "simulation horizon in seconds")
-		runs     = flag.Int("runs", 1, "runs to average")
-		seed     = flag.Uint64("seed", 1, "master random seed")
-		paper    = flag.Bool("paper", false, "paper fidelity (600 s × 3 runs)")
 		perNode  = flag.Bool("nodes", false, "print per-node metrics")
-		trace    = flag.String("trace", "", "write a CSV event trace of the (first) run to this file")
+		trace    = flag.String("trace", "", "write a CSV event trace of one run to this file (one worker, no -cachefile: the run exists for its side effects)")
 		scenario = flag.String("scenario", "", "inject a fault scenario, e.g. \"fail:6@15,out:1@5-12,link:0-3@10-30,drain:3x100\"")
 		faults   = flag.String("faults", "", "robust evaluation against a generated scenario family, e.g. \"knode=1\" or \"coord-outage\"")
 		adaptive = flag.Bool("adaptive", false, "confidence-gated replication stopping in the -faults evaluation (scenarios decisively clear of -pdrmin stop early)")
 		pdrMinF  = flag.Float64("pdrmin", 0.9, "reliability bound the -adaptive gate tests scenario PDRs against")
-		cacheRaw = flag.String("cachefile", "", "persistent result cache: load completed simulations from this file and append fresh ones, so a repeated run at the same fidelity starts warm (ignored with -trace, whose runs exist for their side effects)")
-		shards   = flag.Int("shards", 0, "engine cache shard count, a power of two (0 = default)")
 	)
-	flag.Parse()
-	fatalIf(engine.CheckShards(*shards))
-	engineShards = *shards
+	c.Parse(os.Args[1:])
 
 	locs, err := parseLocs(*locsFlag)
-	fatalIf(err)
+	c.Check(err)
 
 	var mk netsim.MACKind
 	switch strings.ToLower(*macFlag) {
@@ -81,7 +72,7 @@ func main() {
 	case "tdma":
 		mk = netsim.TDMA
 	default:
-		fatalIf(fmt.Errorf("unknown MAC %q", *macFlag))
+		c.Check(fmt.Errorf("unknown MAC %q", *macFlag))
 	}
 	var rk netsim.RoutingKind
 	switch strings.ToLower(*rtFlag) {
@@ -90,55 +81,55 @@ func main() {
 	case "mesh":
 		rk = netsim.Mesh
 	default:
-		fatalIf(fmt.Errorf("unknown routing %q", *rtFlag))
+		c.Check(fmt.Errorf("unknown routing %q", *rtFlag))
 	}
 
 	cfg := netsim.DefaultConfig(locs, mk, rk, 0)
 	mode := cfg.Radio.ModeByOutput(phys.DBm(*txFlag))
 	if mode < 0 {
-		fatalIf(fmt.Errorf("radio %s has no %+g dBm mode", cfg.Radio.Name, *txFlag))
+		c.Check(fmt.Errorf("radio %s has no %+g dBm mode", cfg.Radio.Name, *txFlag))
 	}
 	cfg.TxMode = mode
-	cfg.Duration = *duration
-	if *paper {
-		cfg.Duration = 600
-		*runs = 3
-	}
+	cfg.Duration = fid.Duration
+	workers := 0
 	if *trace != "" {
 		f, err := os.Create(*trace)
-		fatalIf(err)
+		c.Check(err)
 		defer f.Close()
 		cfg.Trace = f
-		*runs = 1 // a trace documents a single run
+		fid.Runs = 1     // a trace documents a single run
+		workers = 1      // keep event-trace writes serial
+		c.CacheFile = "" // trace runs exist for their side effects
 	}
 
 	if *scenario != "" {
 		sc, err := fault.Parse(*scenario)
-		fatalIf(err)
+		c.Check(err)
 		cfg.Scenario = sc
 	}
 
-	cacheFile := *cacheRaw
-	if cfg.Trace != nil {
-		cacheFile = "" // trace runs exist for their side effects
-	}
-
+	eng := c.Start(fid.Sig(), workers)
 	if *faults != "" {
 		var gate *netsim.Gate
 		if *adaptive {
 			gate = &netsim.Gate{PDRMin: *pdrMinF, Margin: 0.001}
 		}
-		fatalIf(runRobust(cfg, *faults, *runs, *seed, gate, cacheFile))
+		c.Check(runRobust(os.Stdout, eng, cfg, *faults, fid.Runs, fid.Seed, gate))
+		c.Close()
 		return
 	}
 
 	t0 := time.Now()
-	res, err := runSingle(cfg, *runs, *seed, cacheFile)
-	fatalIf(err)
+	req := engine.Request{Cfg: cfg, Runs: fid.Runs, Seed: fid.Seed}
+	if cfg.Trace == nil {
+		req.Key = cacheKey(cfg)
+	}
+	res, err := eng.Evaluate(req)
+	c.Check(err)
 
 	names := body.Names(body.Default())
 	fmt.Printf("configuration: %s\n", cfg.Label())
-	fmt.Printf("simulated:     %.0f s × %d runs in %s\n", cfg.Duration, *runs, time.Since(t0).Round(time.Millisecond))
+	fmt.Printf("simulated:     %.0f s × %d runs in %s\n", cfg.Duration, fid.Runs, time.Since(t0).Round(time.Millisecond))
 	fmt.Printf("PDR:           %s\n", report.Pct(res.PDR))
 	fmt.Printf("lifetime:      %s (worst node %s)\n", report.Days(res.NLTDays), report.MW(float64(res.MaxPower)))
 	fmt.Printf("traffic:       %d sent, %d delivered, %d transmissions\n", res.Sent, res.Delivered, res.TxCount)
@@ -155,6 +146,7 @@ func main() {
 		fmt.Println()
 		report.Table(os.Stdout, []string{"loc", "site", "PDR", "power"}, rows)
 	}
+	c.Close()
 }
 
 // cfgKey derives a stable 32-bit cache identity from hisim's free-form
@@ -194,34 +186,6 @@ func cacheKey(cfg netsim.Config) engine.Key {
 	return engine.PointKey(cfgKey(cfg))
 }
 
-// runSingle evaluates one configuration, through a cache-file-backed
-// engine when -cachefile is set (a repeated invocation at the same
-// fidelity answers from disk) and directly otherwise.
-func runSingle(cfg netsim.Config, runs int, seed uint64, cacheFile string) (*netsim.Result, error) {
-	if cacheFile == "" {
-		return netsim.RunAveraged(cfg, runs, seed)
-	}
-	eng, err := engine.NewSharded(0, engineShards)
-	if err != nil {
-		return nil, err
-	}
-	n, err := eng.AttachCacheFile(cacheFile, engine.ContextSig(cfg.Duration, runs, seed))
-	if err != nil {
-		return nil, err
-	}
-	if n > 0 {
-		fmt.Printf("cache:         loaded %d entries from %s\n", n, cacheFile)
-	}
-	res, err := eng.Evaluate(engine.Request{Cfg: cfg, Runs: runs, Seed: seed, Key: cacheKey(cfg)})
-	if err != nil {
-		return nil, err
-	}
-	if st := eng.Stats(); st.DiskHits > 0 {
-		fmt.Printf("engine:        %s\n", st)
-	}
-	return res, eng.CloseSpill()
-}
-
 // parseFamily builds the generated scenario family named by the -faults
 // spec: "knode=K" (every K-subset of the used locations fails at a
 // quarter of the horizon; the star coordinator is exempt) or
@@ -251,37 +215,20 @@ func parseFamily(cfg netsim.Config, spec string, seed uint64) ([]*fault.Scenario
 }
 
 // runRobust evaluates the configuration under the generated family — the
-// nominal run, then the family as one engine family call — and prints
-// the nominal result, the per-scenario table, and the worst case. A
+// nominal run, then the family as one engine family call — and prints to
+// w the nominal result, the per-scenario table, and the worst case. A
 // non-nil gate replication-gates the scenario runs (the nominal run keeps
 // its full budget; the family is never sealed, so every scenario is
-// reported); the engine stats line then shows the savings. With a cache
-// file attached the requests are keyed, so a repeated invocation answers
+// reported); the engine stats line then shows the savings. The requests
+// are keyed, so with a cache file attached a repeated invocation answers
 // the whole family from disk. Trace runs stay unkeyed: they exist for
 // their side effects.
-func runRobust(cfg netsim.Config, spec string, runs int, seed uint64, gate *netsim.Gate, cacheFile string) error {
+func runRobust(w io.Writer, eng *engine.Engine, cfg netsim.Config, spec string, runs int, seed uint64, gate *netsim.Gate) error {
 	scenarios, err := parseFamily(cfg, spec, seed)
 	if err != nil {
 		return err
 	}
-	workers := 0
-	if cfg.Trace != nil {
-		workers = 1 // keep event-trace writes serial
-	}
-	eng, err := engine.NewSharded(workers, engineShards)
-	if err != nil {
-		return err
-	}
 	keyed := cfg.Trace == nil
-	if cacheFile != "" {
-		n, err := eng.AttachCacheFile(cacheFile, engine.ContextSig(cfg.Duration, runs, seed))
-		if err != nil {
-			return err
-		}
-		if n > 0 {
-			fmt.Printf("cache:         loaded %d entries from %s\n", n, cacheFile)
-		}
-	}
 	base := cfg
 	base.Scenario = nil
 	point := cfgKey(base)
@@ -308,12 +255,11 @@ func runRobust(cfg netsim.Config, spec string, runs int, seed uint64, gate *nets
 		return err
 	}
 	elapsed := time.Since(t0)
-	fmt.Printf("configuration: %s\n", cfg.Label())
-	fmt.Printf("simulated:     %.0f s × %d runs × %d scenarios (+nominal) in %s\n",
+	fmt.Fprintf(w, "configuration: %s\n", cfg.Label())
+	fmt.Fprintf(w, "simulated:     %.0f s × %d runs × %d scenarios (+nominal) in %s\n",
 		cfg.Duration, runs, len(scenarios), elapsed.Round(time.Millisecond))
-	printRobust(os.Stdout, rrs[0])
-	fmt.Printf("engine:        %s\n", eng.Stats())
-	return eng.CloseSpill()
+	printRobust(w, rrs[0])
+	return nil
 }
 
 // printRobust renders a family envelope: the nominal row, one row per
@@ -329,11 +275,4 @@ func printRobust(w io.Writer, rr *netsim.RobustResult) {
 	report.Table(w, []string{"scenario", "PDR", "lifetime", "worst node"}, rows)
 	fmt.Fprintf(w, "worst case:    PDR %s, lifetime %s (scenario %s)\n",
 		report.Pct(rr.WorstPDR), report.Days(rr.WorstNLTDays), rr.WorstScenario)
-}
-
-func fatalIf(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hisim:", err)
-		os.Exit(1)
-	}
 }

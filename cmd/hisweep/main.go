@@ -23,17 +23,14 @@ import (
 	"strings"
 	"time"
 
-	"hiopt/internal/engine"
+	"hiopt/internal/cli"
 	"hiopt/internal/experiments"
-	"hiopt/internal/profiling"
 )
 
 func main() {
+	c := cli.New(flag.CommandLine, "hisweep")
+	fid := c.Fidelity()
 	var (
-		duration   = flag.Float64("duration", 60, "simulation horizon in seconds")
-		runs       = flag.Int("runs", 1, "runs to average")
-		seed       = flag.Uint64("seed", 1, "master random seed")
-		paper      = flag.Bool("paper", false, "paper fidelity (600 s × 3 runs)")
 		csvPath    = flag.String("csv", "", "write the scatter to this CSV file")
 		robust     = flag.Bool("robust", false, "also run the nominal-vs-robust comparison under k-node failures")
 		kfail      = flag.String("kfail", "1,2", "comma-separated failure counts k for -robust")
@@ -48,47 +45,13 @@ func main() {
 		boundsFlag = flag.String("bounds", "", "comma-separated PDRmin bounds of the -pareto sweep (empty = the default 16-point grid)")
 		latMax     = flag.Float64("latmax", 0, "p95 end-to-end latency bound in seconds for -pareto (0 = unbounded)")
 		adaptive   = flag.Bool("adaptive", false, "confidence-gated adaptive evaluation in the -robust comparison and the -pareto sweep (short-circuits decisively infeasible scenario families; gates replications to the swept band)")
-		cacheFile  = flag.String("cachefile", "", "persistent result cache: load completed simulations from this file and append fresh ones, so a repeated sweep at the same fidelity starts warm")
-		shards     = flag.Int("shards", 0, "engine cache shard count, a power of two (0 = default)")
-		cpuprofile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
-	flag.Parse()
-	if err := engine.CheckShards(*shards); err != nil {
-		fmt.Fprintln(os.Stderr, "hisweep:", err)
-		os.Exit(1)
-	}
+	c.Parse(os.Args[1:])
 
-	stopProf, err := profiling.Start(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "hisweep:", err)
-		os.Exit(1)
-	}
-
-	fid := experiments.Fidelity{Duration: *duration, Runs: *runs, Seed: *seed}
-	if *paper {
-		fid = experiments.Paper
-		fid.Seed = *seed
-	}
 	t0 := time.Now()
-	suite := experiments.NewSuite(fid, os.Stdout)
+	suite := experiments.NewSuite(*fid, os.Stdout)
 	suite.Adaptive = *adaptive
-	var eng *engine.Engine
-	if *cacheFile != "" || *shards != 0 {
-		eng, err = engine.NewSharded(0, *shards)
-		if err == nil && *cacheFile != "" {
-			var n int
-			n, err = eng.AttachCacheFile(*cacheFile, fid.Sig())
-			if n > 0 {
-				fmt.Printf("cache: loaded %d entries from %s\n", n, *cacheFile)
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "hisweep:", err)
-			os.Exit(1)
-		}
-		suite.SetEngine(eng)
-	}
+	suite.SetEngine(c.Start(fid.Sig(), 0))
 	if *pareto {
 		var bounds []float64
 		for _, part := range strings.Split(*boundsFlag, ",") {
@@ -98,18 +61,15 @@ func main() {
 			}
 			b, err := strconv.ParseFloat(part, 64)
 			if err != nil || b <= 0 || b > 1 {
-				fmt.Fprintf(os.Stderr, "hisweep: bad -bounds entry %q\n", part)
-				os.Exit(1)
+				c.Check(fmt.Errorf("bad -bounds entry %q", part))
 			}
 			bounds = append(bounds, b)
 		}
-		if _, err := suite.FR(bounds, *latMax, *paretoCSV); err != nil {
-			fmt.Fprintln(os.Stderr, "hisweep:", err)
-			os.Exit(1)
-		}
-	} else if _, err := suite.Fig3(*csvPath); err != nil {
-		fmt.Fprintln(os.Stderr, "hisweep:", err)
-		os.Exit(1)
+		_, err := suite.FR(bounds, *latMax, *paretoCSV)
+		c.Check(err)
+	} else {
+		_, err := suite.Fig3(*csvPath)
+		c.Check(err)
 	}
 	if *robust {
 		var ks []int
@@ -120,15 +80,12 @@ func main() {
 			}
 			k, err := strconv.Atoi(part)
 			if err != nil || k <= 0 {
-				fmt.Fprintf(os.Stderr, "hisweep: bad -kfail entry %q\n", part)
-				os.Exit(1)
+				c.Check(fmt.Errorf("bad -kfail entry %q", part))
 			}
 			ks = append(ks, k)
 		}
-		if _, err := suite.RB(ks, *pdrMin, *robustCSV); err != nil {
-			fmt.Fprintln(os.Stderr, "hisweep:", err)
-			os.Exit(1)
-		}
+		_, err := suite.RB(ks, *pdrMin, *robustCSV)
+		c.Check(err)
 	}
 	if *gamma != "" {
 		var gammas []float64
@@ -139,29 +96,16 @@ func main() {
 			}
 			g, err := strconv.ParseFloat(part, 64)
 			if err != nil || g < 0 {
-				fmt.Fprintf(os.Stderr, "hisweep: bad -gamma entry %q\n", part)
-				os.Exit(1)
+				c.Check(fmt.Errorf("bad -gamma entry %q", part))
 			}
 			gammas = append(gammas, g)
 		}
-		if _, err := suite.Gamma(gammas, *robustMin, *gammaIter, *gammaCSV); err != nil {
-			fmt.Fprintln(os.Stderr, "hisweep:", err)
-			os.Exit(1)
-		}
+		_, err := suite.Gamma(gammas, *robustMin, *gammaIter, *gammaCSV)
+		c.Check(err)
 	}
-	if eng != nil {
-		if err := eng.CloseSpill(); err != nil {
-			fmt.Fprintln(os.Stderr, "hisweep:", err)
-			os.Exit(1)
-		}
-	}
-	// Totals across every study above, printed to the terminal even when
-	// -csv/-robustcsv/-gammacsv redirected the tables — the counterpart
-	// of hiopt's engine-stats line.
-	fmt.Printf("engine:       %s\n", suite.EngineStats())
 	fmt.Printf("sweep completed in %s\n", time.Since(t0).Round(time.Millisecond))
-	if err := stopProf(); err != nil {
-		fmt.Fprintln(os.Stderr, "hisweep:", err)
-		os.Exit(1)
-	}
+	// The harness closes with the engine totals across every study
+	// above, printed even when -csv/-robustcsv/-gammacsv redirected the
+	// tables.
+	c.Close()
 }

@@ -468,8 +468,8 @@ const adaptiveScreenBlocks = 8
 // transmissions happen regardless of delivery, while receptions (and, in
 // a mesh, relay transmissions) scale at worst with the delivered fraction
 // PDR_min. α therefore divides only the loss-sensitive share of the
-// current best solution's power, keeping the line-5 termination bound
-// conservative.
+// current best solution's power. The line-5 stop it drives is a
+// heuristic, not a proof (DESIGN.md §6).
 func (o *Optimizer) alpha(best design.Point) float64 {
 	pdr := o.Problem.PDRMin
 	if pdr <= 0 {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -218,15 +219,21 @@ func TestEvaluateCtxAnswersCacheAfterCancel(t *testing.T) {
 	}
 }
 
+// TestCheckShards: NewSharded is the one shard-count validator. It
+// accepts 0 and powers of two, and rejects a negative count or any other
+// count, naming the problem, instead of rounding it.
 func TestCheckShards(t *testing.T) {
 	for _, ok := range []int{0, 1, 2, 4, 16, 1024} {
-		if err := CheckShards(ok); err != nil {
-			t.Fatalf("CheckShards(%d) = %v, want nil", ok, err)
+		if _, err := NewSharded(1, ok); err != nil {
+			t.Fatalf("NewSharded(1, %d) = %v, want nil", ok, err)
 		}
 	}
-	for _, bad := range []int{-1, 3, 5, 10, 17} {
-		if err := CheckShards(bad); err == nil {
-			t.Fatalf("CheckShards(%d) succeeded; want an error", bad)
+	for _, bad := range []int{3, 5, 10, 17} {
+		if _, err := NewSharded(1, bad); err == nil || !strings.Contains(err.Error(), "not a power of two") {
+			t.Fatalf("NewSharded(1, %d) = %v; want a not-a-power-of-two error", bad, err)
 		}
+	}
+	if _, err := NewSharded(1, -1); err == nil {
+		t.Fatal("NewSharded(1, -1) succeeded; want an error")
 	}
 }

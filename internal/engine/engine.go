@@ -336,21 +336,6 @@ type shard struct {
 // maps on small runs.
 const DefaultShards = 16
 
-// CheckShards validates a user-facing shard-count setting strictly: 0
-// (select DefaultShards) and exact powers of two are accepted, anything
-// else is an error. NewSharded itself rounds odd counts up — convenient
-// for programmatic callers — but a CLI flag should reject them so a typo
-// like -shards 10 fails loudly instead of silently running with 16.
-func CheckShards(n int) error {
-	if n < 0 {
-		return fmt.Errorf("engine: shard count must be >= 0 (0 selects the default %d), got %d", DefaultShards, n)
-	}
-	if n&(n-1) != 0 {
-		return fmt.Errorf("engine: shard count %d is not a power of two (use 1, 2, 4, ... or 0 for the default %d)", n, DefaultShards)
-	}
-	return nil
-}
-
 // Engine is the shared evaluation service. It is safe for concurrent use;
 // nested use from inside a Request.Pre hook or an EvaluateBatch progress
 // callback would deadlock on the evaluator pool and is not supported.
@@ -384,10 +369,11 @@ func New(workers int) (*Engine, error) {
 }
 
 // NewSharded builds an engine with an explicit cache shard count: 0
-// selects DefaultShards, other values are rounded up to the next power
-// of two (1 reproduces the old single-mutex behaviour, useful as a
-// contention baseline). Negative counts are rejected. Shard count never
-// affects results — only which mutex guards a key.
+// selects DefaultShards, other values must be powers of two (1
+// reproduces the old single-mutex behaviour, useful as a contention
+// baseline), so a typo like -shards 10 fails loudly instead of silently
+// running with 16. Shard count never affects results — only which mutex
+// guards a key.
 func NewSharded(workers, shards int) (*Engine, error) {
 	if workers < 0 {
 		return nil, fmt.Errorf("engine: Workers must be >= 0 (0 selects GOMAXPROCS), got %d", workers)
@@ -398,18 +384,17 @@ func NewSharded(workers, shards int) (*Engine, error) {
 	if shards < 0 {
 		return nil, fmt.Errorf("engine: Shards must be >= 0 (0 selects the default %d), got %d", DefaultShards, shards)
 	}
+	if shards&(shards-1) != 0 {
+		return nil, fmt.Errorf("engine: shard count %d is not a power of two (use 1, 2, 4, ... or 0 for the default %d)", shards, DefaultShards)
+	}
 	if shards == 0 {
 		shards = DefaultShards
-	}
-	n := 1
-	for n < shards {
-		n <<= 1
 	}
 	e := &Engine{
 		workers: workers,
 		evals:   make(chan *netsim.Evaluator, workers),
-		shards:  make([]shard, n),
-		mask:    uint64(n - 1),
+		shards:  make([]shard, shards),
+		mask:    uint64(shards - 1),
 	}
 	for i := range e.shards {
 		e.shards[i].done = make(map[Key]*netsim.Result)

@@ -496,6 +496,7 @@ func milpPoolChain(b *testing.B, warm bool) (pivots, nodes int) {
 func genM40Pool(b *testing.B, opt milp.Options) {
 	b.ReportAllocs()
 	base := milp.GenInstance(40, 1)
+	b.ResetTimer()
 	var pivots int
 	for i := 0; i < b.N; i++ {
 		pool, agg, err := milp.NewState(base.Clone(), opt).SolvePool(0, 1e-6)
@@ -517,6 +518,7 @@ func milpPresolve(b *testing.B) {
 	// drops the spent budget row, and tightens the conflict rows.
 	b.ReportAllocs()
 	base := milp.GenInstance(40, 1)
+	b.ResetTimer()
 	var fixed, dropped, tightened int
 	for i := 0; i < b.N; i++ {
 		p := base.Clone()
@@ -626,6 +628,7 @@ func coreParetoFront(b *testing.B) {
 		bounds[i] = 0.50 + 0.04*float64(i)
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	var pivots, replayed, solved int
 	for i := 0; i < b.N; i++ {
 		pr := design.PaperProblem(bounds[0])

@@ -13,6 +13,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"hiopt/internal/core"
 )
 
 // fastBody returns a quick personalized request body: 2 s horizon, one
@@ -428,4 +430,47 @@ func TestServeSmoke(t *testing.T) {
 		t.Fatal("server did not shut down cleanly")
 	}
 	fmt.Println("serve-smoke: 3 concurrent tenants, deterministic repeat, clean shutdown")
+}
+
+// TestStatszCountsSolves: one completed request shows up on /statsz as
+// one solve and, since the same problem solved directly through core
+// stops by the α bound, as one α stop.
+func TestStatszCountsSolves(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	body := fastBody(`"pdr_min": 0.5`)
+	if status, data := post(t, ts.URL, body); status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, data)
+	}
+	resp, err := http.Get(ts.URL + "/statsz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st struct {
+		Solves       int64 `json:"solves"`
+		AlphaStopped int64 `json:"alpha_stopped"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	var raw Profile
+	if err := json.Unmarshal([]byte(body), &raw); err != nil {
+		t.Fatal(err)
+	}
+	p, err := raw.Normalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := core.NewOptimizer(p.problem(), p.options(s.Engine(), nil)).RunCtx(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !out.TerminatedByAlpha {
+		t.Fatal("the probe profile no longer stops by the α bound; pick one that does")
+	}
+	if st.Solves != 1 || st.AlphaStopped != 1 {
+		t.Fatalf("/statsz solves=%d alpha_stopped=%d, want 1 and 1", st.Solves, st.AlphaStopped)
+	}
 }

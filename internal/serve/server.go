@@ -7,11 +7,18 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"runtime"
+	"sync/atomic"
 
 	"hiopt/internal/core"
 	"hiopt/internal/engine"
 )
+
+// CacheSig is the cache-file context signature of the daemon. The
+// single-tenant CLIs sign their files with the run's (duration, runs,
+// seed); the daemon serves every fidelity from one file, with the
+// per-request fidelity folded into each tenant's key salt instead — so
+// the file itself carries a fixed service signature.
+const CacheSig = 0x68697365727665 // "hiserve"
 
 // Config sizes a Server.
 type Config struct {
@@ -40,8 +47,9 @@ type Config struct {
 //	POST /v1/design  — solve a personalized design problem (Profile in,
 //	                   Response out; NDJSON progress when Stream is set)
 //	GET  /healthz    — liveness
-//	GET  /statsz     — engine + admission counters (non-deterministic;
-//	                   kept off /v1/design so its body stays bit-stable)
+//	GET  /statsz     — engine + admission + solve counters
+//	                   (non-deterministic; kept off /v1/design so its
+//	                   body stays bit-stable)
 //
 // Determinism contract: the same request body yields a byte-identical
 // response body regardless of concurrent tenants — personalization is
@@ -53,6 +61,10 @@ type Server struct {
 	eng *engine.Engine
 	adm *admission
 	mux *http.ServeMux
+
+	// solves counts completed Algorithm 1 runs; alphaStopped those the
+	// α bound ended (DESIGN.md §6) rather than an exhausted MILP.
+	solves, alphaStopped atomic.Int64
 }
 
 // New builds a Server.
@@ -151,8 +163,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		"admission": map[string]int{
 			"used": used, "capacity": capacity, "queued": queued,
 		},
-		"workers": s.eng.Workers(),
-		"shards":  s.eng.Shards(),
+		"workers":       s.eng.Workers(),
+		"shards":        s.eng.Shards(),
+		"solves":        s.solves.Load(),
+		"alpha_stopped": s.alphaStopped.Load(),
 	})
 }
 
@@ -255,6 +269,10 @@ func (s *Server) solve(ctx context.Context, p Profile, onIter func(core.Iteratio
 	if err != nil {
 		return nil, err
 	}
+	s.solves.Add(1)
+	if out.TerminatedByAlpha {
+		s.alphaStopped.Add(1)
+	}
 	resp := &Response{
 		Status:      out.Status.String(),
 		Profile:     p,
@@ -281,6 +299,3 @@ func (s *Server) solve(ctx context.Context, p Profile, onIter func(core.Iteratio
 	}
 	return resp, nil
 }
-
-// DefaultWorkers is the worker count hiserve uses when none is given.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
