@@ -108,7 +108,7 @@ func DefaultParams() Params {
 
 // Model is the instantaneous-path-loss oracle shared by all nodes of one
 // simulation run. It is not safe for concurrent use; each simulation run
-// owns its own Model.
+// owns its own Model, and Reset re-seeds one in place for the next run.
 type Model struct {
 	n      int
 	params Params
@@ -118,28 +118,51 @@ type Model struct {
 	// (the hottest function of a simulation: once per potential receiver
 	// per transmission).
 	pairIdx []int32 // row-major n×n, -1 on the diagonal
-	// Gauss–Markov state per unordered pair {i<j}: current deviation and
-	// the time it was last advanced to.
-	delta  []float64
-	lastT  []float64
-	stream []*rng.Stream
-	// lastDt/lastRho memoize exp(−Δt/τ): one transmission advances every
-	// audible pair by the same Δt, so consecutive receptions of a packet
-	// hit the cache and skip the math.Exp.
-	lastDt, lastRho float64
-	// Blockage state per unordered pair: whether currently blocked and
-	// when the current episode ends.
-	blocked    []bool
-	blockUntil []float64
-	blockRNG   []*rng.Stream
+	// pairs holds the temporal state of every unordered pair {i<j},
+	// streams by value, so one advance touches one contiguous record.
+	pairs []pair
+	// keys holds the hashed stream names, fade then block per pair. They
+	// depend only on n, so Reset never formats a name twice.
+	keys []rng.Key
+	// rho caches exp(−Δt/τ) and its innovation scale by Δt. It stays
+	// valid across Resets that keep τ and σ.
+	rho [rhoSlots]rhoEntry
+}
+
+// pair is the temporal state of one unordered location pair.
+type pair struct {
+	// delta is the Gauss–Markov deviation, advanced to lastT.
+	delta, lastT float64
+	// blocked reports a blockage episode, which ends (or, when clear,
+	// the next one starts) at blockUntil.
+	blocked    bool
+	blockUntil float64
+	fade       rng.Stream
+	block      rng.Stream
+}
+
+// rhoSlots is the size of the direct-mapped ρ table. The receivers of one
+// packet were each last advanced at a different time, so their Δt differ;
+// a model sees a few thousand distinct Δt values over a run, and 256
+// slots keep most advances off math.Exp.
+const (
+	rhoBits  = 8
+	rhoSlots = 1 << rhoBits
+)
+
+// rhoEntry is one ρ table slot: rho = exp(−dt/τ) and scale =
+// σ·sqrt(1−rho²), the factors of one Gauss–Markov step over dt. dt = 0
+// marks an empty slot (advances always have dt > 0).
+type rhoEntry struct {
+	dt, rho, scale float64
 }
 
 // New builds a channel model over the given locations, with all temporal
 // processes seeded from src.
 func New(locs []body.Location, params Params, src *rng.Source) *Model {
-	return build(len(locs), params, src, func(i, j int) phys.DB {
-		return meanPathLoss(locs[i], locs[j], params)
-	})
+	m := &Model{}
+	m.Reset(locs, params, src)
+	return m
 }
 
 // NewFromMatrix builds a channel model from a measured mean path-loss
@@ -149,70 +172,104 @@ func New(locs []body.Location, params Params, src *rng.Source) *Model {
 // by averaging and its diagonal ignored. The temporal-variation
 // parameters of params still apply.
 func NewFromMatrix(mean [][]phys.DB, params Params, src *rng.Source) (*Model, error) {
-	n := len(mean)
-	if n == 0 {
-		return nil, fmt.Errorf("channel: empty path-loss matrix")
+	m := &Model{}
+	if err := m.ResetFromMatrix(mean, params, src); err != nil {
+		return nil, err
 	}
-	for i, row := range mean {
-		if len(row) != n {
-			return nil, fmt.Errorf("channel: matrix row %d has %d entries, want %d", i, len(row), n)
-		}
-	}
-	m := build(n, params, src, func(i, j int) phys.DB {
-		return (mean[i][j] + mean[j][i]) / 2
-	})
 	return m, nil
 }
 
-func build(n int, params Params, src *rng.Source, meanOf func(i, j int) phys.DB) *Model {
-	pairs := n * (n - 1) / 2
-	m := &Model{
-		n:          n,
-		params:     params,
-		mean:       make([]phys.DB, n*n),
-		pairIdx:    make([]int32, n*n),
-		delta:      make([]float64, pairs),
-		lastT:      make([]float64, pairs),
-		stream:     make([]*rng.Stream, pairs),
-		lastDt:     -1,
-		blocked:    make([]bool, pairs),
-		blockUntil: make([]float64, pairs),
-		blockRNG:   make([]*rng.Stream, pairs),
+// Reset turns m, in place, into the model New(locs, params, src) would
+// build, reusing its storage: a simulation loop that re-seeds one model
+// per run allocates nothing for the channel after the first.
+func (m *Model) Reset(locs []body.Location, params Params, src *rng.Source) {
+	m.reset(len(locs), params, src, func(i, j int) phys.DB {
+		return meanPathLoss(locs[i], locs[j], params)
+	})
+}
+
+// ResetFromMatrix is Reset for NewFromMatrix's measured mean matrix. On
+// error m is left unchanged.
+func (m *Model) ResetFromMatrix(mean [][]phys.DB, params Params, src *rng.Source) error {
+	n := len(mean)
+	if n == 0 {
+		return fmt.Errorf("channel: empty path-loss matrix")
 	}
+	for i, row := range mean {
+		if len(row) != n {
+			return fmt.Errorf("channel: matrix row %d has %d entries, want %d", i, len(row), n)
+		}
+	}
+	m.reset(n, params, src, func(i, j int) phys.DB {
+		return (mean[i][j] + mean[j][i]) / 2
+	})
+	return nil
+}
+
+func (m *Model) reset(n int, params Params, src *rng.Source, meanOf func(i, j int) phys.DB) {
+	if math.Float64bits(params.Tau) != math.Float64bits(m.params.Tau) ||
+		math.Float64bits(params.Sigma) != math.Float64bits(m.params.Sigma) {
+		clear(m.rho[:])
+	}
+	m.params = params
+	if n != m.n || m.pairs == nil {
+		m.resize(n)
+	}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i != j {
+				m.mean[i*n+j] = meanOf(i, j)
+			}
+		}
+	}
+	// Stationary start for the blockage process: blocked with
+	// probability BlockMean/(BlockMean+ClearMean).
+	pBlocked := params.BlockMean / (params.BlockMean + params.ClearMean)
+	for k := range m.pairs {
+		p := &m.pairs[k]
+		p.fade.Reseed(src, m.keys[2*k])
+		// Start each process in its stationary distribution so early
+		// simulation time is not biased toward zero deviation.
+		p.delta = params.Sigma * p.fade.Norm()
+		p.lastT = 0
+		p.blocked, p.blockUntil = false, 0
+		if params.BlockDB > 0 {
+			p.block.Reseed(src, m.keys[2*k+1])
+			p.blocked = p.block.Float64() < pBlocked
+			if p.blocked {
+				p.blockUntil = p.block.Exp(params.BlockMean)
+			} else {
+				p.blockUntil = p.block.Exp(params.ClearMean)
+			}
+		}
+	}
+}
+
+// resize allocates the per-location and per-pair storage for n locations
+// and hashes the pair streams' names.
+func (m *Model) resize(n int) {
+	pairs := n * (n - 1) / 2
+	m.n = n
+	m.mean = make([]phys.DB, n*n)
+	m.pairIdx = make([]int32, n*n)
+	m.pairs = make([]pair, pairs)
+	m.keys = make([]rng.Key, 2*pairs)
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			if i == j {
 				m.pairIdx[i*n+j] = -1
 				continue
 			}
-			m.mean[i*n+j] = meanOf(i, j)
 			m.pairIdx[i*n+j] = int32(m.pairIndex(i, j))
 		}
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			k := m.pairIndex(i, j)
-			st := src.Stream(fmt.Sprintf("channel/fade/%d-%d", i, j))
-			m.stream[k] = st
-			// Start each process in its stationary distribution so early
-			// simulation time is not biased toward zero deviation.
-			m.delta[k] = params.Sigma * st.Norm()
-			if params.BlockDB > 0 {
-				bg := src.Stream(fmt.Sprintf("channel/block/%d-%d", i, j))
-				m.blockRNG[k] = bg
-				// Stationary start: blocked with probability
-				// BlockMean/(BlockMean+ClearMean).
-				pBlocked := params.BlockMean / (params.BlockMean + params.ClearMean)
-				m.blocked[k] = bg.Float64() < pBlocked
-				if m.blocked[k] {
-					m.blockUntil[k] = bg.Exp(params.BlockMean)
-				} else {
-					m.blockUntil[k] = bg.Exp(params.ClearMean)
-				}
-			}
+			m.keys[2*k] = rng.KeyOf(fmt.Sprintf("channel/fade/%d-%d", i, j))
+			m.keys[2*k+1] = rng.KeyOf(fmt.Sprintf("channel/block/%d-%d", i, j))
 		}
 	}
-	return m
 }
 
 func meanPathLoss(a, b body.Location, p Params) phys.DB {
@@ -257,44 +314,53 @@ func (m *Model) PathLossAt(t float64, i, j int) phys.DB {
 	if i == j {
 		return 0
 	}
-	k := int(m.pairIdx[i*m.n+j])
-	dt := t - m.lastT[k]
-	if dt > 0 {
-		rho := m.lastRho
-		if dt != m.lastDt {
-			rho = math.Exp(-dt / m.params.Tau)
-			m.lastDt, m.lastRho = dt, rho
-		}
-		m.delta[k] = rho*m.delta[k] + m.params.Sigma*math.Sqrt(1-rho*rho)*m.stream[k].Norm()
-		m.lastT[k] = t
+	ij := i*m.n + j
+	p := &m.pairs[m.pairIdx[ij]]
+	if dt := t - p.lastT; dt > 0 {
+		r := m.rhoAt(dt)
+		p.delta = r.rho*p.delta + r.scale*p.fade.Norm()
+		p.lastT = t
 	}
-	pl := m.mean[i*m.n+j] + phys.DB(m.delta[k])
+	pl := m.mean[ij] + phys.DB(p.delta)
 	if m.params.BlockDB > 0 {
-		for m.blockUntil[k] < t {
-			m.blocked[k] = !m.blocked[k]
-			if m.blocked[k] {
-				m.blockUntil[k] += m.blockRNG[k].Exp(m.params.BlockMean)
+		for p.blockUntil < t {
+			p.blocked = !p.blocked
+			if p.blocked {
+				p.blockUntil += p.block.Exp(m.params.BlockMean)
 			} else {
-				m.blockUntil[k] += m.blockRNG[k].Exp(m.params.ClearMean)
+				p.blockUntil += p.block.Exp(m.params.ClearMean)
 			}
 		}
-		if m.blocked[k] {
+		if p.blocked {
 			pl += m.params.BlockDB
 		}
 	}
 	return pl
 }
 
+// rhoAt returns the ρ table slot of dt > 0, filling it on a miss. The slot
+// is picked by a Fibonacci hash of dt's bits; the factors are computed by
+// the one expression a table-free advance would use, so a hit and a miss
+// give the same bits.
+func (m *Model) rhoAt(dt float64) *rhoEntry {
+	e := &m.rho[math.Float64bits(dt)*0x9e3779b97f4a7c15>>(64-rhoBits)]
+	if e.dt != dt {
+		rho := math.Exp(-dt / m.params.Tau)
+		*e = rhoEntry{dt: dt, rho: rho, scale: m.params.Sigma * math.Sqrt(1-rho*rho)}
+	}
+	return e
+}
+
 // Blocked reports whether pair {i,j} is currently in a blockage episode
 // (state as of the last PathLossAt advance); used by tests.
 func (m *Model) Blocked(i, j int) bool {
-	return m.blocked[m.pairIndex(i, j)]
+	return m.pairs[m.pairIndex(i, j)].blocked
 }
 
 // Deviation returns the current fading deviation of pair {i,j} without
 // advancing it; used by tests and diagnostics.
 func (m *Model) Deviation(i, j int) float64 {
-	return m.delta[m.pairIndex(i, j)]
+	return m.pairs[m.pairIndex(i, j)].delta
 }
 
 // MeanMatrix returns a copy of the full mean path-loss matrix.

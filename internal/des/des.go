@@ -11,12 +11,15 @@
 // values (not pointers), so a stale handle held across an event's firing
 // can never cancel the recycled struct's next occupant. See DESIGN.md
 // "Performance" for the pooling invariants.
+//
+// The calendar is a typed 4-ary min-heap on []*Event ordered by
+// (time, sequence number). That order is strict and total, so the pop
+// order is the same as any other correct priority queue's; the wider
+// fan-out halves the tree depth a pop sifts through, and the comparisons
+// are direct field reads, not container/heap interface calls.
 package des
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // Event is one calendar entry. Event structs are owned and recycled by
 // their Simulator; user code never holds a *Event directly — Schedule and
@@ -26,6 +29,12 @@ type Event struct {
 	seq   uint64
 	fn    func()
 	index int // heap index, -1 while pooled or firing
+}
+
+// before reports whether a fires before b: earlier time first, FIFO by
+// sequence number among simultaneous events.
+func (a *Event) before(b *Event) bool {
+	return a.t < b.t || a.t == b.t && a.seq < b.seq
 }
 
 // Handle refers to one scheduled occurrence of an event. It is a value
@@ -52,7 +61,7 @@ func (h Handle) Cancel() {
 	if !h.Active() {
 		return
 	}
-	heap.Remove(&h.s.queue, h.e.index)
+	h.s.remove(h.e.index)
 	h.s.recycle(h.e)
 }
 
@@ -65,40 +74,11 @@ func (h Handle) Time() float64 {
 	return h.e.t
 }
 
-type eventHeap []*Event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].t != h[j].t {
-		return h[i].t < h[j].t
-	}
-	return h[i].seq < h[j].seq // FIFO among simultaneous events
-}
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x interface{}) {
-	e := x.(*Event)
-	e.index = len(*h)
-	*h = append(*h, e)
-}
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	e.index = -1
-	*h = old[:n-1]
-	return e
-}
-
 // Simulator owns the clock and the event calendar.
 type Simulator struct {
 	now       float64
 	seq       uint64
-	queue     eventHeap
+	queue     []*Event // 4-ary heap: the children of i are 4i+1 … 4i+4
 	processed uint64
 	// free is the event recycling pool. Structs enter it when they fire,
 	// are cancelled, or are swept by Reset, and leave it on the next
@@ -118,7 +98,7 @@ func (s *Simulator) Processed() uint64 { return s.processed }
 // Pending returns the exact number of events currently scheduled.
 // Cancelled events are removed (and recycled) at Cancel time, so they are
 // never counted.
-func (s *Simulator) Pending() int { return s.queue.Len() }
+func (s *Simulator) Pending() int { return len(s.queue) }
 
 // PoolSize returns the number of recycled event structs currently parked
 // in the free list (diagnostics and tests).
@@ -160,7 +140,8 @@ func (s *Simulator) At(t float64, fn func()) Handle {
 	e := s.take()
 	s.seq++ // monotone across Reset: pre-Reset handles can never re-match
 	e.t, e.seq, e.fn = t, s.seq, fn
-	heap.Push(&s.queue, e)
+	s.queue = append(s.queue, e)
+	s.up(len(s.queue)-1, e)
 	return Handle{s: s, e: e, seq: e.seq}
 }
 
@@ -168,10 +149,11 @@ func (s *Simulator) At(t float64, fn func()) Handle {
 // calendar is empty. The event struct is recycled before its callback
 // runs, so a callback that schedules reuses the struct it fired from.
 func (s *Simulator) Step() bool {
-	if s.queue.Len() == 0 {
+	if len(s.queue) == 0 {
 		return false
 	}
-	e := heap.Pop(&s.queue).(*Event)
+	e := s.queue[0]
+	s.remove(0)
 	fn := e.fn
 	s.now = e.t
 	s.recycle(e)
@@ -183,12 +165,12 @@ func (s *Simulator) Step() bool {
 // Run executes events until the calendar is exhausted or the next event
 // lies strictly beyond horizon; the clock is then advanced to horizon.
 func (s *Simulator) Run(horizon float64) {
-	for s.queue.Len() > 0 {
+	for len(s.queue) > 0 {
 		e := s.queue[0]
 		if e.t > horizon {
 			break
 		}
-		heap.Pop(&s.queue)
+		s.remove(0)
 		fn := e.fn
 		s.now = e.t
 		s.recycle(e)
@@ -197,6 +179,66 @@ func (s *Simulator) Run(horizon float64) {
 	}
 	if s.now < horizon {
 		s.now = horizon
+	}
+}
+
+// up places e at heap position i or above it: the hole at i moves toward
+// the root while e fires before the parent there.
+func (s *Simulator) up(i int, e *Event) {
+	q := s.queue
+	for i > 0 {
+		p := (i - 1) / 4
+		pe := q[p]
+		if !e.before(pe) {
+			break
+		}
+		q[i], pe.index = pe, i
+		i = p
+	}
+	q[i], e.index = e, i
+}
+
+// down places e at heap position i or below it: the hole at i moves
+// toward the leaves while the earliest of its children fires before e.
+func (s *Simulator) down(i int, e *Event) {
+	q := s.queue
+	n := len(q)
+	for {
+		c := 4*i + 1
+		if c >= n {
+			break
+		}
+		m, me := c, q[c]
+		for j := c + 1; j < c+4 && j < n; j++ {
+			if q[j].before(me) {
+				m, me = j, q[j]
+			}
+		}
+		if !me.before(e) {
+			break
+		}
+		q[i], me.index = me, i
+		i = m
+	}
+	q[i], e.index = e, i
+}
+
+// remove takes the event at heap position i out of the calendar and
+// marks it inactive; the last leaf refills the hole.
+func (s *Simulator) remove(i int) {
+	q := s.queue
+	n := len(q) - 1
+	e, last := q[i], q[n]
+	q[n] = nil
+	s.queue = q[:n]
+	e.index = -1
+	if i == n {
+		return
+	}
+	if i > 0 && last.before(q[(i-1)/4]) {
+		s.up(i, last)
+	} else {
+		s.down(i, last)
 	}
 }
 

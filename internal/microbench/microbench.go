@@ -41,6 +41,7 @@ type Bench struct {
 var All = []Bench{
 	{"des_steady_state", desSteadyState},
 	{"netsim_one_second", netsimOneSecond},
+	{"netsim_tdma_star_one_second", netsimTDMAStarOneSecond},
 	{"channel_pathloss_at", channelPathLossAt},
 	{"robust_eval", robustEval},
 	{"engine_batch", engineBatch},
@@ -101,13 +102,40 @@ func netsimOneSecond(b *testing.B) {
 	b.ReportMetric(float64(sim.Processed()-start)/float64(b.N), "events/op")
 }
 
+func netsimTDMAStarOneSecond(b *testing.B) {
+	// One simulated second per op of the TDMA star, the MAC the Fig. 3
+	// sweep spends most of its simulator time in (slot timers, relays
+	// through the chest coordinator): a 5-node star at 0 dBm, stepped on
+	// one long-lived network like netsim_one_second, 0 allocs/op after
+	// warm-up. events/op is the kernel's processed count over the timed
+	// seconds divided by b.N.
+	cfg := netsim.DefaultConfig([]int{0, 1, 3, 5, 7}, netsim.TDMA, netsim.Star, 2)
+	cfg.Duration = 1 << 20
+	n, err := netsim.New(cfg, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	n.Start()
+	sim := n.Simulator()
+	sim.Run(2)
+	start := sim.Processed()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sim.Run(float64(i) + 3)
+	}
+	b.ReportMetric(float64(sim.Processed()-start)/float64(b.N), "events/op")
+}
+
 // sinkDB defeats dead-code elimination of the PathLossAt benchmark.
 var sinkDB phys.DB
 
 func channelPathLossAt(b *testing.B) {
-	// One transmission's worth of receptions per op: every receiver pair
-	// advances to the same instant, exercising the flat pair-index lookup
-	// and the shared exp(−Δt/τ) memoization. Must report 0 allocs/op.
+	// One transmission's worth of receptions per op: the nine pairs of
+	// location 0 advance to the same instant, by the same Δt, exercising
+	// the flat pair-index lookup and the ρ table. t accumulates, so Δt's
+	// low bits drift from op to op: the first pair of an op may miss the
+	// table, the other eight hit. Must report 0 allocs/op.
 	locs := body.Default()
 	ch := channel.New(locs, channel.DefaultParams(), rng.NewSource(1))
 	var sink phys.DB

@@ -3,36 +3,47 @@ package netsim
 import (
 	"context"
 
+	"hiopt/internal/channel"
 	"hiopt/internal/des"
 )
 
 // Evaluator amortizes simulation infrastructure across runs: it owns one
-// DES kernel whose event pool and calendar are recycled through Reset, a
-// scratch Result reused for the inner repetitions of RunAveraged, and the
-// PDR-sample / latency-merge buffers. Results returned to callers are
-// always freshly allocated (safe to retain or cache); only the internal
-// scratch is reused. Reuse is invisible in the output: the kernel's event
-// ordering depends only on relative (time, sequence) order, which Reset
-// preserves, so an Evaluator produces bit-identical Results to one-shot
-// construction for the same (Config, seed).
+// DES kernel whose event pool and calendar are recycled through Reset, one
+// channel model re-seeded in place for every run (its pair storage,
+// hashed stream names and ρ table survive), a scratch Result reused for
+// the inner repetitions of RunAveraged, and the PDR-sample /
+// latency-merge buffers. Results returned to callers are always freshly
+// allocated (safe to retain or cache); only the internal scratch is
+// reused. Reuse is invisible in the output: the kernel's event ordering
+// depends only on relative (time, sequence) order, which Reset preserves,
+// and a re-seeded channel model draws exactly the streams a fresh one
+// would, so an Evaluator produces bit-identical Results to one-shot
+// construction for the same (Config, seed). A Network's Channel() is
+// therefore only valid until its Evaluator's next run.
 //
 // An Evaluator is not safe for concurrent use; give each worker goroutine
 // its own (see internal/core's evaluator pool).
 type Evaluator struct {
 	sim     *des.Simulator
-	scratch Result    // per-repetition metrics inside RunAveraged
-	pdrs    []float64 // per-repetition PDR samples for the std-dev estimate
-	lats    []float64 // latency merge buffer for collectInto
+	ch      *channel.Model // re-seeded in place by every run; nil until the first
+	scratch Result         // per-repetition metrics inside RunAveraged
+	pdrs    []float64      // per-repetition PDR samples for the std-dev estimate
+	lats    []float64      // latency merge buffer for collectInto
 }
 
-// NewEvaluator returns an Evaluator with a fresh kernel.
+// NewEvaluator returns an Evaluator with a fresh kernel. Its channel model
+// is allocated by the first run, so an evaluator that never simulates —
+// an engine answering from its cache — does not carry one.
 func NewEvaluator() *Evaluator { return &Evaluator{sim: des.New()} }
 
 // runInto executes one simulation into res, reusing the Evaluator's kernel
 // and buffers.
 func (ev *Evaluator) runInto(cfg Config, seed uint64, res *Result) error {
 	ev.sim.Reset()
-	n, err := newWith(cfg, seed, ev.sim)
+	if ev.ch == nil {
+		ev.ch = &channel.Model{}
+	}
+	n, err := newWith(cfg, seed, ev.sim, ev.ch)
 	if err != nil {
 		return err
 	}

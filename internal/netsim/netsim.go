@@ -70,7 +70,10 @@ type Network struct {
 	src     *rng.Source
 	nodes   []*node
 	airtime float64
-	coordID int // node index of the star coordinator, -1 for mesh
+	// txJ and rxJ are the radio energy of one packet's airtime in TX and
+	// RX mode, charged per transmission and per reception.
+	txJ, rxJ float64
+	coordID  int // node index of the star coordinator, -1 for mesh
 
 	active     []*transmission
 	collisions uint64
@@ -124,13 +127,14 @@ func (n *Network) trace(event string, nd *node, p *stack.Packet, detail string) 
 
 // New builds a network from a validated configuration and a master seed.
 func New(cfg Config, seed uint64) (*Network, error) {
-	return newWith(cfg, seed, des.New())
+	return newWith(cfg, seed, des.New(), &channel.Model{})
 }
 
 // newWith builds a network on an existing (freshly constructed or Reset)
-// simulator kernel, so an Evaluator can amortize the kernel's event pool
-// and calendar across many runs.
-func newWith(cfg Config, seed uint64, sim *des.Simulator) (*Network, error) {
+// simulator kernel and re-seeds ch in place as its channel, so an
+// Evaluator can amortize the kernel's event pool and calendar and the
+// channel's storage, stream-name hashes and ρ table across many runs.
+func newWith(cfg Config, seed uint64, sim *des.Simulator, ch *channel.Model) (*Network, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -142,25 +146,25 @@ func newWith(cfg Config, seed uint64, sim *des.Simulator) (*Network, error) {
 	}
 	src := rng.NewSource(seed)
 	locs := cfg.bodyLocations()
-	var ch *channel.Model
 	if cfg.ChannelMatrix != nil {
-		var err error
-		ch, err = channel.NewFromMatrix(cfg.ChannelMatrix, cfg.Channel, src)
-		if err != nil {
+		if err := ch.ResetFromMatrix(cfg.ChannelMatrix, cfg.Channel, src); err != nil {
 			return nil, err
 		}
 		if ch.NumLocations() < len(locs) {
 			return nil, fmt.Errorf("netsim: channel matrix covers %d locations, need %d", ch.NumLocations(), len(locs))
 		}
 	} else {
-		ch = channel.New(locs, cfg.Channel, src)
+		ch.Reset(locs, cfg.Channel, src)
 	}
+	airtime := cfg.Radio.PacketAirtime(cfg.App.Bytes)
 	n := &Network{
 		cfg:     cfg,
 		sim:     sim,
 		ch:      ch,
 		src:     src,
-		airtime: cfg.Radio.PacketAirtime(cfg.App.Bytes),
+		airtime: airtime,
+		txJ:     float64(cfg.Radio.TxModes[cfg.TxMode].ConsumptionMW) / 1000 * airtime,
+		rxJ:     float64(cfg.Radio.RxConsumptionMW) / 1000 * airtime,
 		coordID: -1,
 	}
 	for i, loc := range cfg.Locations {
@@ -446,7 +450,7 @@ func (n *Network) finish(tx *transmission) {
 	sender := tx.sender
 	sender.transmitting = false
 	sender.txCount++
-	sender.txEnergyJ += float64(n.cfg.Radio.TxModes[n.cfg.TxMode].ConsumptionMW) / 1000 * n.airtime
+	sender.txEnergyJ += n.txJ
 	if sender.drainScale > 0 {
 		n.checkBattery(sender)
 	}
@@ -460,7 +464,7 @@ func (n *Network) finish(tx *transmission) {
 			// already accounted there.
 			continue
 		}
-		r.rxEnergyJ += float64(n.cfg.Radio.RxConsumptionMW) / 1000 * n.airtime
+		r.rxEnergyJ += n.rxJ
 		if r.drainScale > 0 {
 			n.checkBattery(r)
 			if r.down {

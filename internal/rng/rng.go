@@ -55,8 +55,25 @@ func (s *Source) Seed() uint64 { return s.seed }
 // Stream twice with the same name returns generators that produce identical
 // sequences.
 func (s *Source) Stream(name string) *Stream {
-	st := s.seed ^ hashString(name)
 	var g Stream
+	g.Reseed(s, KeyOf(name))
+	return &g
+}
+
+// Key is a hashed stream name. The hash does not depend on the master
+// seed, so a caller that re-derives the same named streams under many
+// seeds can hash the names once.
+type Key uint64
+
+// KeyOf hashes a stream name.
+func KeyOf(name string) Key { return Key(hashString(name)) }
+
+// Reseed sets g, in place, to the generator src.Stream(name) returns for
+// the name that hashes to k. A Box–Muller deviate g had cached is dropped,
+// as a fresh stream has none.
+func (g *Stream) Reseed(src *Source, k Key) {
+	st := src.seed ^ uint64(k)
+	*g = Stream{}
 	// Fill the xoshiro state from SplitMix64 as recommended by its authors.
 	for i := range g.state {
 		g.state[i] = splitMix64(&st)
@@ -65,11 +82,10 @@ func (s *Source) Stream(name string) *Stream {
 	if g.state[0]|g.state[1]|g.state[2]|g.state[3] == 0 {
 		g.state[0] = 0x9e3779b97f4a7c15
 	}
-	return &g
 }
 
 // Stream is a xoshiro256** generator. The zero value is not valid; obtain
-// streams from Source.Stream.
+// streams from Source.Stream or set one with Reseed.
 type Stream struct {
 	state [4]uint64
 	// spare holds a cached second normal deviate from the Box-Muller pair.

@@ -167,3 +167,22 @@ func TestPermShuffles(t *testing.T) {
 		t.Errorf("identity permutation appeared %d/100 times; shuffle looks broken", identity)
 	}
 }
+
+// TestReseedMatchesStream: re-seeding a used stream in place — one that
+// holds a cached Box–Muller deviate — gives exactly the generator Stream
+// derives for the same name and seed.
+func TestReseedMatchesStream(t *testing.T) {
+	var g Stream
+	g.Reseed(NewSource(7), KeyOf("other"))
+	g.Norm() // leaves the spare deviate cached
+	for _, seed := range []uint64{0, 1, 42} {
+		src := NewSource(seed)
+		g.Reseed(src, KeyOf("channel/fade/0-1"))
+		want := src.Stream("channel/fade/0-1")
+		for i := 0; i < 100; i++ {
+			if a, b := g.Norm(), want.Norm(); math.Float64bits(a) != math.Float64bits(b) {
+				t.Fatalf("seed %d draw %d: reseeded %v, fresh %v", seed, i, a, b)
+			}
+		}
+	}
+}
