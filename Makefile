@@ -93,13 +93,17 @@ engine-smoke:
 # produce a bit-identical CSV and answer >= 90% of its submissions
 # without re-simulating (the "N simulated" figure of the engine stats
 # line). (b) The same cold/warm pair for hiopt, whose warm run must print
-# the same optimal configuration block. (c) hiopt, hisim, hisweep and
-# hibench -exp t1 each leave a non-empty CPU and heap profile.
+# the same optimal configuration block, and for hibench's Algorithm 1
+# studies R1 and PF, whose tables must match. A warm run that submitted
+# nothing to the engine fails the check rather than passing it. (c)
+# hiopt, hisim, hisweep and hibench -exp t1 each leave a non-empty CPU
+# and heap profile.
 CACHE_WARM_CHECK = awk '/^engine:/ { sub(",", "", $$2); sub(",", "", $$4); \
-		if ($$4 + 0 > 0.10 * $$2) { \
-			printf "cache-smoke: warm run re-simulated %s of %s submissions (> 10%%)\n", $$4, $$2; exit 1; } \
-		else { printf "cache-smoke: warm run re-simulated %s of %s submissions\n", $$4, $$2; ok = 1 } } \
-		END { if (!ok) { print "cache-smoke: no engine stats line in warm output"; exit 1 } }'
+		if ($$2 + 0 == 0 || $$4 + 0 > 0.10 * $$2) { \
+			printf "cache-smoke: warm run re-simulated %s of %s submissions (want > 0 submitted, <= 10%%)\n", $$4, $$2; bad = 1; exit 1; } \
+		printf "cache-smoke: warm run re-simulated %s of %s submissions\n", $$4, $$2; ok = 1 } \
+		END { if (!ok && !bad) { print "cache-smoke: no engine stats line in warm output"; exit 1 } }'
+HIBENCH_ALG1_TABLES = sed -n '/^R1 /,/^\[r1 done/{/done in/!p;}; /^PF /,/^\[pf done/{/done in/!p;}'
 cache-smoke:
 	@rm -f /tmp/hiopt-cache-* /tmp/hiopt-prof-*
 	$(GO) run ./cmd/hisweep -duration 5 -cachefile /tmp/hiopt-cache-smoke.bin -csv /tmp/hiopt-cache-cold.csv > /tmp/hiopt-cache-cold.out
@@ -113,6 +117,13 @@ cache-smoke:
 	@test -s /tmp/hiopt-cache-opt-cold.best || { echo "cache-smoke: no optimal configuration in the cold hiopt output"; exit 1; }
 	cmp /tmp/hiopt-cache-opt-cold.best /tmp/hiopt-cache-opt-warm.best
 	@$(CACHE_WARM_CHECK) /tmp/hiopt-cache-opt-warm.out
+	$(GO) run ./cmd/hibench -exp r1,pf -duration 5 -cachefile /tmp/hiopt-cache-bench.bin > /tmp/hiopt-cache-bench-cold.out
+	$(GO) run ./cmd/hibench -exp r1,pf -duration 5 -cachefile /tmp/hiopt-cache-bench.bin > /tmp/hiopt-cache-bench-warm.out
+	@$(HIBENCH_ALG1_TABLES) /tmp/hiopt-cache-bench-cold.out > /tmp/hiopt-cache-bench-cold.tables
+	@$(HIBENCH_ALG1_TABLES) /tmp/hiopt-cache-bench-warm.out > /tmp/hiopt-cache-bench-warm.tables
+	@test -s /tmp/hiopt-cache-bench-cold.tables || { echo "cache-smoke: no R1/PF tables in the cold hibench output"; exit 1; }
+	cmp /tmp/hiopt-cache-bench-cold.tables /tmp/hiopt-cache-bench-warm.tables
+	@$(CACHE_WARM_CHECK) /tmp/hiopt-cache-bench-warm.out
 	$(GO) run ./cmd/hiopt -duration 5 -cpuprofile /tmp/hiopt-prof-hiopt.cpu -memprofile /tmp/hiopt-prof-hiopt.mem > /dev/null
 	$(GO) run ./cmd/hisim -duration 5 -cpuprofile /tmp/hiopt-prof-hisim.cpu -memprofile /tmp/hiopt-prof-hisim.mem > /dev/null
 	$(GO) run ./cmd/hisweep -duration 5 -cpuprofile /tmp/hiopt-prof-hisweep.cpu -memprofile /tmp/hiopt-prof-hisweep.mem > /dev/null

@@ -27,6 +27,7 @@ import (
 	"math"
 	"testing"
 
+	"hiopt"
 	"hiopt/internal/body"
 	"hiopt/internal/channel"
 	"hiopt/internal/core"
@@ -48,7 +49,7 @@ var benchFid = experiments.Fidelity{Duration: 20, Runs: 1, Seed: 1}
 // the experiment benchmarks, exactly like one cmd/hibench invocation
 // does; each benchmark therefore times the *incremental* cost of its
 // artifact. Micro-benchmarks below do not use it.
-var sharedSuite = experiments.NewSuite(benchFid, io.Discard)
+var sharedSuite = experiments.NewSuite(benchFid, io.Discard, nil)
 
 func newSuite() *experiments.Suite { return sharedSuite }
 
@@ -375,10 +376,12 @@ func BenchmarkExtBufferSize(b *testing.B) {
 
 func BenchmarkExtParetoFront(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		// The front sweep builds its own optimizer (its point is the
-		// shared per-sweep cache), so keep to the cheap bounds here; the
+		// A fresh front per iteration: the suite's PF reads R1's per-bound
+		// memo and would time nothing. Keep to the cheap bounds here; the
 		// 100% bound is exercised by BenchmarkOptimaPerPDRmin.
-		front, err := newSuite().PF([]float64{0.5, 0.9})
+		pr := hiopt.NewPaperProblem(0.5)
+		pr.Duration, pr.Runs, pr.Seed = benchFid.Duration, benchFid.Runs, benchFid.Seed
+		front, err := hiopt.ParetoFront(pr, []float64{0.5, 0.9}, hiopt.OptimizerOptions{})
 		if err != nil {
 			b.Fatal(err)
 		}

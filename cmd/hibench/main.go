@@ -60,8 +60,7 @@ func main() {
 		return
 	}
 
-	suite := experiments.NewSuite(*fid, os.Stdout)
-	suite.SetEngine(c.Start(fid.Sig(), 0))
+	suite := experiments.NewSuite(*fid, os.Stdout, c.Start(fid.Sig(), 0))
 
 	want := map[string]bool{}
 	for _, id := range strings.Split(*expFlag, ",") {

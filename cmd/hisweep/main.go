@@ -49,9 +49,8 @@ func main() {
 	c.Parse(os.Args[1:])
 
 	t0 := time.Now()
-	suite := experiments.NewSuite(*fid, os.Stdout)
+	suite := experiments.NewSuite(*fid, os.Stdout, c.Start(fid.Sig(), 0))
 	suite.Adaptive = *adaptive
-	suite.SetEngine(c.Start(fid.Sig(), 0))
 	if *pareto {
 		var bounds []float64
 		for _, part := range strings.Split(*boundsFlag, ",") {

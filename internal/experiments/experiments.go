@@ -18,6 +18,7 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"hiopt/internal/anneal"
@@ -48,8 +49,9 @@ var Paper = Fidelity{Duration: 600, Runs: 3, Seed: 1}
 // PDR estimates carry roughly ±1% noise at this setting.
 var Quick = Fidelity{Duration: 60, Runs: 1, Seed: 1}
 
-// Suite carries shared state (notably the cached exhaustive sweep) across
-// experiments.
+// Suite carries the state the experiments share: one evaluation engine,
+// the cached exhaustive sweep, and one Algorithm 1 optimizer whose runs
+// are memoized per reliability bound.
 type Suite struct {
 	Fid Fidelity
 	W   io.Writer
@@ -59,53 +61,28 @@ type Suite struct {
 	// use it to add constraints or swap components).
 	Mutate func(*design.Problem)
 	// Adaptive enables confidence-gated evaluation in the studies whose
-	// simulations feed binary decisions — currently the RB robustness
-	// study: scenario replications stop early once the PDR confidence
-	// interval settles against the bound, and a configuration's scenario
-	// family short-circuits as soon as one scenario decisively breaches
-	// it. Feasibility verdicts match the exhaustive run; a
-	// short-circuited row's WorstPDR/WorstScenario report the decisive
-	// witness rather than the exhaustive minimum. Gated results land in
-	// the suite's shared result cache, so don't reuse one suite across
-	// adaptive and exhaustive runs of the same study.
+	// simulations feed binary decisions — the RB robustness study and
+	// the FR front: scenario replications stop early once the PDR
+	// confidence interval settles against the bound, and a
+	// configuration's scenario family short-circuits as soon as one
+	// scenario decisively breaches it. Feasibility verdicts match the
+	// exhaustive run; a short-circuited row's WorstPDR/WorstScenario
+	// report the decisive witness rather than the exhaustive minimum.
+	// Gated results land in the suite engine's shared cache: an adaptive
+	// FR writes gated full-fidelity entries that R1–R3, PF, A1 and A2
+	// would then read, so run those studies, and the exhaustive runs of
+	// RB and FR, in a suite without Adaptive (hibench never sets it).
 	Adaptive bool
 
+	// eng runs every simulation of the suite except A9's and the R3
+	// annealing walks, which count fresh runs.
+	eng       *engine.Engine
 	sweep     *exhaustive.Result
 	sweepProb *design.Problem
+	// opt runs every memoized Algorithm 1 bound (alg1), so its class
+	// record solves each power class once across R1, R2, R3 and PF.
+	opt       *core.Optimizer
 	alg1Cache map[float64]*core.Outcome
-	// eng is the suite's shared evaluation engine: the exhaustive sweep
-	// and the extension studies run through it. Algorithm 1 runs keep
-	// their private engines so the reported simulation counts stay those
-	// of a standalone run.
-	eng *engine.Engine
-}
-
-// engine returns the suite's shared evaluation engine.
-func (s *Suite) engine() *engine.Engine {
-	if s.eng == nil {
-		s.eng, _ = engine.New(0) // New only fails on negative worker counts
-	}
-	return s.eng
-}
-
-// SetEngine injects a caller-built engine — typically one attached to a
-// persistent cache file — as the suite's shared evaluation engine. It
-// must be called before the first experiment runs; replacing an engine
-// already in use would split results across two caches.
-func (s *Suite) SetEngine(e *engine.Engine) {
-	if s.eng != nil {
-		panic("experiments: SetEngine called after the suite engine was already in use")
-	}
-	s.eng = e
-}
-
-// EngineStats snapshots the shared engine's cumulative counters (zero
-// when no experiment has needed the engine yet).
-func (s *Suite) EngineStats() engine.Stats {
-	if s.eng == nil {
-		return engine.Stats{}
-	}
-	return s.eng.Stats()
 }
 
 // Sig is the fidelity's persistent-cache context signature: a cache file
@@ -115,29 +92,52 @@ func (f Fidelity) Sig() uint64 {
 	return engine.ContextSig(f.Duration, f.Runs, f.Seed)
 }
 
-// NewSuite builds an experiment suite writing to w (os.Stdout if nil).
-func NewSuite(fid Fidelity, w io.Writer) *Suite {
+// NewSuite builds an experiment suite writing to w (os.Stdout if nil)
+// whose simulations all run on eng (a fresh default engine if nil).
+func NewSuite(fid Fidelity, w io.Writer, eng *engine.Engine) *Suite {
 	if w == nil {
 		w = os.Stdout
 	}
-	return &Suite{Fid: fid, W: w}
+	if eng == nil {
+		eng, _ = engine.New(0) // New only fails on negative worker counts
+	}
+	return &Suite{Fid: fid, W: w, eng: eng}
 }
 
-// alg1 memoizes Algorithm 1 runs per reliability bound, so R1, R2, and R3
-// share results the way one cmd/hibench invocation does.
+// paperBounds are the reliability bounds of R1, R2, PF and the Fig. 3
+// optima table.
+var paperBounds = []float64{0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0}
+
+// alg1 memoizes Algorithm 1 runs per reliability bound, so R1, R2, R3 and
+// PF share results the way one cmd/hibench invocation does. Every bound
+// runs on the suite's one optimizer, the way core.ParetoFront runs its
+// bounds: each Outcome equals a standalone run's, but the class record
+// solves each power class once and the suite engine answers every design
+// the sweep or an earlier bound already simulated.
 func (s *Suite) alg1(pdrMin float64) (*core.Outcome, error) {
-	if s.alg1Cache == nil {
-		s.alg1Cache = make(map[float64]*core.Outcome)
-	}
 	if out, ok := s.alg1Cache[pdrMin]; ok {
 		return out, nil
 	}
-	out, err := core.NewOptimizer(s.problem(pdrMin), core.Options{}).Run()
+	if s.opt == nil {
+		s.opt = core.NewOptimizer(s.problem(pdrMin), core.Options{Engine: s.eng})
+		s.alg1Cache = make(map[float64]*core.Outcome)
+	}
+	s.opt.Problem.PDRMin = pdrMin
+	out, err := s.opt.Run()
 	if err != nil {
 		return nil, err
 	}
 	s.alg1Cache[pdrMin] = out
 	return out, nil
+}
+
+// alg1Sims is the simulator-run count of a standalone Algorithm 1 run,
+// Evaluations × Runs, counted the way exhaustive.Result.Simulations is.
+// A fresh engine simulates every candidate (each round's pool is a new
+// power class), while out.Simulations leaves out what the shared engine
+// answered from its cache.
+func (s *Suite) alg1Sims(out *core.Outcome) int {
+	return out.Evaluations * max(1, s.Fid.Runs)
 }
 
 // problem instantiates the §4.1 design example at the suite's fidelity.
@@ -234,10 +234,10 @@ func (s *Suite) Fig3(csvPath string) ([]Fig3Row, error) {
 	minPDR, maxPDR := res.All[0].PDR, res.All[0].PDR
 	for i, e := range res.All {
 		rows[i] = Fig3Row{Point: e.Point, PDR: e.PDR, NLTDays: e.NLTDays, PowerMW: e.PowerMW, Feasible: e.Feasible}
-		minNLT = minF(minNLT, e.NLTDays)
-		maxNLT = maxF(maxNLT, e.NLTDays)
-		minPDR = minF(minPDR, e.PDR)
-		maxPDR = maxF(maxPDR, e.PDR)
+		minNLT = min(minNLT, e.NLTDays)
+		maxNLT = max(maxNLT, e.NLTDays)
+		minPDR = min(minPDR, e.PDR)
+		maxPDR = max(maxPDR, e.PDR)
 	}
 	fmt.Fprintf(s.W, "F3 / Figure 3 — %d feasible configurations simulated (T=%.0fs × %d runs)\n",
 		len(rows), s.Fid.Duration, s.Fid.Runs)
@@ -265,7 +265,7 @@ func (s *Suite) Fig3(csvPath string) ([]Fig3Row, error) {
 	// reliability threshold.
 	fmt.Fprintln(s.W, "  optima per PDRmin (the figure's annotated arrows):")
 	var tbl [][]string
-	for _, pdrMin := range []float64{0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0} {
+	for _, pdrMin := range paperBounds {
 		best := bestFeasible(res, pdrMin, 0.001)
 		if best == nil {
 			tbl = append(tbl, []string{report.Pct(pdrMin), "infeasible", "", "", ""})
@@ -308,7 +308,7 @@ func (s *Suite) exhaustiveSweep() (*exhaustive.Result, error) {
 		return s.sweep, nil
 	}
 	pr := s.problem(0.5) // PDRmin irrelevant for the sweep itself
-	res, err := exhaustive.Search(pr, exhaustive.Options{Engine: s.engine()})
+	res, err := exhaustive.Search(pr, exhaustive.Options{Engine: s.eng})
 	if err != nil {
 		return nil, err
 	}
@@ -348,7 +348,7 @@ type R1Row struct {
 // bounds, star/0 dBm near 90%, mesh above, and a five-node mesh at 100%.
 func (s *Suite) R1(pdrMins []float64) ([]R1Row, error) {
 	if len(pdrMins) == 0 {
-		pdrMins = []float64{0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0}
+		pdrMins = paperBounds
 	}
 	fmt.Fprintln(s.W, "R1 / §4.2 — Algorithm 1 optima per PDRmin")
 	var rows []R1Row
@@ -359,16 +359,16 @@ func (s *Suite) R1(pdrMins []float64) ([]R1Row, error) {
 			return nil, err
 		}
 		row := R1Row{PDRMin: pdrMin, Outcome: out, Best: out.Best,
-			Evaluations: out.Evaluations, Simulations: out.Simulations}
+			Evaluations: out.Evaluations, Simulations: s.alg1Sims(out)}
 		rows = append(rows, row)
 		if out.Best == nil {
-			tbl = append(tbl, []string{report.Pct(pdrMin), "infeasible", "", "", "", fmt.Sprintf("%d", out.Simulations)})
+			tbl = append(tbl, []string{report.Pct(pdrMin), "infeasible", "", "", "", fmt.Sprintf("%d", row.Simulations)})
 			continue
 		}
 		tbl = append(tbl, []string{
 			report.Pct(pdrMin), pointLabel(out.Best.Point),
 			report.Pct(out.Best.PDR), report.Days(out.Best.NLTDays),
-			report.MW(out.Best.PowerMW), fmt.Sprintf("%d", out.Simulations),
+			report.MW(out.Best.PowerMW), fmt.Sprintf("%d", row.Simulations),
 		})
 	}
 	report.Table(s.W, []string{"PDRmin", "selected configuration", "PDR", "NLT", "power", "sims"}, tbl)
@@ -400,7 +400,7 @@ type R2Row struct {
 // across the PDRmin range and checks both find the same optimum class.
 func (s *Suite) R2(pdrMins []float64) (*R2Result, error) {
 	if len(pdrMins) == 0 {
-		pdrMins = []float64{0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0}
+		pdrMins = paperBounds
 	}
 	fmt.Fprintln(s.W, "R2 / §4.2 — simulations: Algorithm 1 vs exhaustive search")
 	sweep, err := s.exhaustiveSweep()
@@ -417,7 +417,7 @@ func (s *Suite) R2(pdrMins []float64) (*R2Result, error) {
 		exBest := bestFeasible(sweep, pdrMin, 0.001)
 		row := R2Row{
 			PDRMin:         pdrMin,
-			Alg1Sims:       out.Simulations,
+			Alg1Sims:       s.alg1Sims(out),
 			ExhaustiveSims: sweep.Simulations,
 			Alg1Best:       out.Best,
 			ExhaustiveBest: exBest,
@@ -431,7 +431,7 @@ func (s *Suite) R2(pdrMins []float64) (*R2Result, error) {
 			row.OptimumMatches = true
 		case out.Best != nil && exBest != nil:
 			row.OptimumMatches = out.Best.Point == exBest.Point ||
-				absF(out.Best.PowerMW-exBest.PowerMW) < 0.15*exBest.PowerMW
+				math.Abs(out.Best.PowerMW-exBest.PowerMW) < 0.15*exBest.PowerMW
 		}
 		res.Rows = append(res.Rows, row)
 		res.MeanReduction += row.Reduction
@@ -491,11 +491,12 @@ func (s *Suite) R3(pdrMins []float64, saSteps int) (*R3Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		runs := maxI(1, s.Fid.Runs)
-		row := R3Row{PDRMin: pdrMin, Alg1Sims: out.Simulations}
+		row := R3Row{PDRMin: pdrMin, Alg1Sims: s.alg1Sims(out)}
 		matched := 0
 		sumToBest, sumTotal := 0, 0
 		for walk := 0; walk < saWalks; walk++ {
+			// The walks keep their private engines: their columns count
+			// fresh simulator runs.
 			sa, err := anneal.New(s.problem(pdrMin),
 				anneal.Options{Steps: saSteps, Seed: s.Fid.Seed + uint64(walk)*977}).Run()
 			if err != nil {
@@ -503,10 +504,10 @@ func (s *Suite) R3(pdrMins []float64, saSteps int) (*R3Result, error) {
 			}
 			sumTotal += sa.Simulations
 			ok := out.Best != nil && sa.Best != nil &&
-				absF(sa.Best.PowerMW-out.Best.PowerMW) < 0.05*out.Best.PowerMW
+				math.Abs(sa.Best.PowerMW-out.Best.PowerMW) < 0.05*out.Best.PowerMW
 			if ok {
 				matched++
-				sumToBest += sa.EvaluationsToBest * runs
+				sumToBest += sa.EvaluationsToBest * max(1, s.Fid.Runs)
 			} else {
 				sumToBest += sa.Simulations // never converged: full budget
 			}
@@ -550,7 +551,7 @@ func (s *Suite) A1() ([]A1Row, error) {
 	var rows []A1Row
 	var tbl [][]string
 	for _, limit := range []int{1, 4, 16, 0} {
-		out, err := core.NewOptimizer(s.problem(0.9), core.Options{PoolLimit: limit}).Run()
+		out, err := core.NewOptimizer(s.problem(0.9), core.Options{PoolLimit: limit, Engine: s.eng}).Run()
 		if err != nil {
 			return nil, err
 		}
@@ -587,17 +588,17 @@ func (s *Suite) A2() (*A2Result, error) {
 		pr.Constraints.MaxNodes = 4
 		return pr
 	}
-	with, err := core.NewOptimizer(mk(), core.Options{}).Run()
+	with, err := core.NewOptimizer(mk(), core.Options{Engine: s.eng}).Run()
 	if err != nil {
 		return nil, err
 	}
-	without, err := core.NewOptimizer(mk(), core.Options{DisableAlphaBound: true}).Run()
+	without, err := core.NewOptimizer(mk(), core.Options{DisableAlphaBound: true, Engine: s.eng}).Run()
 	if err != nil {
 		return nil, err
 	}
 	res := &A2Result{WithAlpha: with.Evaluations, WithoutAlpha: without.Evaluations}
 	if with.Best != nil && without.Best != nil {
-		res.SamePowerClass = absF(with.Best.AnalyticMW-without.Best.AnalyticMW) < 1e-9
+		res.SamePowerClass = math.Abs(with.Best.AnalyticMW-without.Best.AnalyticMW) < 1e-9
 	}
 	report.Table(s.W, []string{"variant", "evaluations"}, [][]string{
 		{"α bound on (Algorithm 1)", fmt.Sprintf("%d", res.WithAlpha)},
@@ -628,7 +629,7 @@ func (s *Suite) A3() ([]A3Row, error) {
 		pr.NHops = h
 		p := design.Point{Topology: 1<<0 | 1<<1 | 1<<3 | 1<<5 | 1<<7,
 			TxMode: 2, MAC: netsim.TDMA, Routing: netsim.Mesh}
-		res, err := s.engine().Evaluate(engine.Request{
+		res, err := s.eng.Evaluate(engine.Request{
 			Cfg: pr.Config(p), Runs: pr.Runs, Seed: pr.Seed,
 			Label: fmt.Sprintf("A3 h=%d", h),
 		})
@@ -666,7 +667,7 @@ func (s *Suite) A4() ([]A4Row, error) {
 		pr.SlotSeconds = slotMS / 1000
 		p := design.Point{Topology: 1<<0 | 1<<1 | 1<<3 | 1<<5 | 1<<7,
 			TxMode: 2, MAC: netsim.TDMA, Routing: netsim.Mesh}
-		res, err := s.engine().Evaluate(engine.Request{
+		res, err := s.eng.Evaluate(engine.Request{
 			Cfg: pr.Config(p), Runs: pr.Runs, Seed: pr.Seed,
 			Label: fmt.Sprintf("A4 slot=%vms", slotMS),
 		})
@@ -680,32 +681,4 @@ func (s *Suite) A4() ([]A4Row, error) {
 	}
 	report.Table(s.W, []string{"slot", "PDR", "MAC drops", "power"}, tbl)
 	return rows, nil
-}
-
-func minF(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func absF(a float64) float64 {
-	if a < 0 {
-		return -a
-	}
-	return a
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

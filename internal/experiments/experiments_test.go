@@ -21,7 +21,7 @@ var testFid = Fidelity{Duration: 10, Runs: 1, Seed: 1}
 
 func newTestSuite() (*Suite, *bytes.Buffer) {
 	var b bytes.Buffer
-	return NewSuite(testFid, &b), &b
+	return NewSuite(testFid, &b, nil), &b
 }
 
 func TestTable1Output(t *testing.T) {
@@ -168,7 +168,7 @@ func TestPFMonotone(t *testing.T) {
 // optimizer-heavy experiments stay affordable in tests.
 func miniSuite() (*Suite, *bytes.Buffer) {
 	var b bytes.Buffer
-	s := NewSuite(Fidelity{Duration: 10, Runs: 1, Seed: 1}, &b)
+	s := NewSuite(Fidelity{Duration: 10, Runs: 1, Seed: 1}, &b, nil)
 	s.Mutate = func(pr *design.Problem) { pr.Constraints.MaxNodes = 4 }
 	return s, &b
 }

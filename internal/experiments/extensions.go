@@ -14,6 +14,7 @@ import (
 	"hiopt/internal/netsim"
 	"hiopt/internal/radio"
 	"hiopt/internal/report"
+	"hiopt/internal/rng"
 )
 
 // This file holds the extension studies beyond the paper's evaluation:
@@ -31,7 +32,9 @@ type A5Row struct {
 
 // A5 re-runs Algorithm 1 at PDRmin=90% for each radio in the component
 // library — the platform-based-design promise of the paper's framework:
-// swap a library component, re-map the system.
+// swap a library component, re-map the system. Engine keys do not carry
+// the radio, so each radio's runs use their own cache namespace of the
+// suite engine.
 func (s *Suite) A5() ([]A5Row, error) {
 	fmt.Fprintln(s.W, "A5 — extension: component library sweep (PDRmin=90%)")
 	var rows []A5Row
@@ -39,7 +42,10 @@ func (s *Suite) A5() ([]A5Row, error) {
 	for _, spec := range radio.Library() {
 		pr := s.problem(0.9)
 		pr.Radio = spec
-		out, err := core.NewOptimizer(pr, core.Options{}).Run()
+		out, err := core.NewOptimizer(pr, core.Options{
+			Engine:    s.eng,
+			CacheSalt: uint64(rng.KeyOf("radio/" + spec.Name)),
+		}).Run()
 		if err != nil {
 			return nil, err
 		}
@@ -82,7 +88,7 @@ func (s *Suite) A6() ([]A6Row, error) {
 	var tbl [][]string
 	for _, p := range corners {
 		pr := s.problem(0.9)
-		res, err := s.engine().Evaluate(engine.Request{
+		res, err := s.eng.Evaluate(engine.Request{
 			Cfg: pr.Config(p), Runs: pr.Runs, Seed: pr.Seed,
 			Label: "A6 " + pointLabel(p),
 		})
@@ -132,14 +138,14 @@ func (s *Suite) A7() ([]A7Row, error) {
 		pr := s.problem(0.9)
 		p := design.Point{Topology: 0b11001011, TxMode: 2, MAC: netsim.TDMA, Routing: sc.routing}
 		cfg := pr.Config(p)
-		healthy, err := s.engine().Evaluate(engine.Request{
+		healthy, err := s.eng.Evaluate(engine.Request{
 			Cfg: cfg, Runs: pr.Runs, Seed: pr.Seed, Label: "A7 healthy " + sc.label,
 		})
 		if err != nil {
 			return nil, err
 		}
 		cfg.Failures = []netsim.NodeFailure{{Location: sc.fail, At: cfg.Duration / 4}}
-		failed, err := s.engine().Evaluate(engine.Request{
+		failed, err := s.eng.Evaluate(engine.Request{
 			Cfg: cfg, Runs: pr.Runs, Seed: pr.Seed, Label: "A7 failed " + sc.label,
 		})
 		if err != nil {
@@ -168,14 +174,14 @@ func (s *Suite) A8() (*A8Result, error) {
 	pr := s.problem(0.9)
 	p := design.Point{Topology: 0b1001011, TxMode: 2, MAC: netsim.TDMA, Routing: netsim.Star}
 	cfg := pr.Config(p)
-	duty, err := s.engine().Evaluate(engine.Request{
+	duty, err := s.eng.Evaluate(engine.Request{
 		Cfg: cfg, Runs: pr.Runs, Seed: pr.Seed, Label: "A8 duty-cycled",
 	})
 	if err != nil {
 		return nil, err
 	}
 	cfg.IdleListening = true
-	idle, err := s.engine().Evaluate(engine.Request{
+	idle, err := s.eng.Evaluate(engine.Request{
 		Cfg: cfg, Runs: pr.Runs, Seed: pr.Seed, Label: "A8 idle-listening",
 	})
 	if err != nil {
@@ -201,6 +207,8 @@ type A9Result struct {
 // total simulated time without moving the optimum.
 func (s *Suite) A9() (*A9Result, error) {
 	fmt.Fprintln(s.W, "A9 — extension: two-stage candidate screening (PDRmin=90%)")
+	// Private engines: the table reports fresh simulated seconds, which a
+	// warm suite engine would zero.
 	single, err := core.NewOptimizer(s.problem(0.9), core.Options{}).Run()
 	if err != nil {
 		return nil, err
@@ -254,7 +262,7 @@ func (s *Suite) A10() ([]A10Row, error) {
 		p := design.Point{Topology: 0b10101011, TxMode: 2, MAC: netsim.CSMA, Routing: netsim.Mesh}
 		cfg := pr.Config(p)
 		cfg.CSMAParams.AccessMode = m.am
-		res, err := s.engine().Evaluate(engine.Request{
+		res, err := s.eng.Evaluate(engine.Request{
 			Cfg: cfg, Runs: pr.Runs, Seed: pr.Seed, Label: "A10 " + m.label,
 		})
 		if err != nil {
@@ -288,7 +296,7 @@ func (s *Suite) A11() ([]A11Row, error) {
 		p := design.Point{Topology: 0b10101011, TxMode: 2, MAC: netsim.TDMA, Routing: netsim.Mesh}
 		cfg := pr.Config(p)
 		cfg.TDMABuffer = cap
-		res, err := s.engine().Evaluate(engine.Request{
+		res, err := s.eng.Evaluate(engine.Request{
 			Cfg: cfg, Runs: pr.Runs, Seed: pr.Seed, Label: fmt.Sprintf("A11 B=%d", cap),
 		})
 		if err != nil {
@@ -302,22 +310,28 @@ func (s *Suite) A11() ([]A11Row, error) {
 	return rows, nil
 }
 
-// PF prints the reliability–lifetime Pareto front computed by sweeping
-// Algorithm 1 across reliability bounds with a shared simulation cache.
+// PF prints the reliability–lifetime Pareto front: the Algorithm 1
+// optimum per reliability bound (R1's bounds when empty), read from the
+// same per-bound memo as R1, so after R1 it solves and simulates nothing.
 func (s *Suite) PF(bounds []float64) ([]core.ParetoPoint, error) {
-	fmt.Fprintln(s.W, "PF — extension: reliability–lifetime Pareto front (shared-cache sweep)")
-	front, err := core.ParetoFront(s.problem(0.5), bounds, core.Options{})
-	if err != nil {
-		return nil, err
+	if len(bounds) == 0 {
+		bounds = paperBounds
 	}
+	fmt.Fprintln(s.W, "PF — extension: reliability–lifetime Pareto front (shared-cache sweep)")
+	front := make([]core.ParetoPoint, len(bounds))
 	var tbl [][]string
-	for _, pt := range front {
-		if pt.Best == nil {
-			tbl = append(tbl, []string{report.Pct(pt.PDRMin), "infeasible", "", ""})
+	for i, b := range bounds {
+		out, err := s.alg1(b)
+		if err != nil {
+			return nil, err
+		}
+		front[i] = core.ParetoPoint{PDRMin: b, Best: out.Best, Outcome: out}
+		if out.Best == nil {
+			tbl = append(tbl, []string{report.Pct(b), "infeasible", "", ""})
 			continue
 		}
-		tbl = append(tbl, []string{report.Pct(pt.PDRMin), pointLabel(pt.Best.Point),
-			report.Pct(pt.Best.PDR), report.Days(pt.Best.NLTDays)})
+		tbl = append(tbl, []string{report.Pct(b), pointLabel(out.Best.Point),
+			report.Pct(out.Best.PDR), report.Days(out.Best.NLTDays)})
 	}
 	report.Table(s.W, []string{"PDRmin", "configuration", "PDR", "NLT"}, tbl)
 	return front, nil
@@ -383,8 +397,7 @@ func (s *Suite) RB(ks []int, pdrMin float64, csvPath string) ([]*RBResult, error
 	}
 	pr := s.sweepProb
 	gen := fault.ScenarioGen{Seed: s.Fid.Seed}
-	eng := s.engine()
-	engStart := eng.Stats()
+	engStart := s.eng.Stats()
 	fmt.Fprintf(s.W, "RB — extension: nominal vs robust design under k-node failures (PDRmin=%s)\n", report.Pct(pdrMin))
 	var results []*RBResult
 	var csvRows [][]string
@@ -425,7 +438,7 @@ func (s *Suite) RB(ks []int, pdrMin float64, csvPath string) ([]*RBResult, error
 			entries = append(entries, e)
 			fams = append(fams, fam)
 		}
-		rrs, skipped, err := eng.EvaluateFamilies(nil, fams, gate)
+		rrs, skipped, err := s.eng.EvaluateFamilies(nil, fams, gate)
 		if err != nil {
 			return nil, err
 		}
@@ -493,7 +506,7 @@ func (s *Suite) RB(ks []int, pdrMin float64, csvPath string) ([]*RBResult, error
 		fmt.Fprintf(s.W, "  adaptive: %d scenario evaluations skipped — %d runs (%.6g s simulated) avoided\n",
 			skippedScen, skippedRuns, float64(skippedRuns)*pr.Duration)
 	}
-	fmt.Fprintf(s.W, "  engine: %s\n", eng.Stats().Sub(engStart))
+	fmt.Fprintf(s.W, "  engine: %s\n", s.eng.Stats().Sub(engStart))
 	if csvPath != "" {
 		f, err := os.Create(csvPath)
 		if err != nil {
@@ -525,7 +538,7 @@ func rbRow(k int, e *exhaustive.Entry, rr *netsim.RobustResult, pdrMin, tol floa
 		if rr.WorstPDR < row.WorstPDR {
 			row.WorstPDR, row.WorstScenario = rr.WorstPDR, rr.WorstScenario
 		}
-		row.WorstNLTDays = minF(row.WorstNLTDays, rr.WorstNLTDays)
+		row.WorstNLTDays = min(row.WorstNLTDays, rr.WorstNLTDays)
 	}
 	row.RobustFeasible = row.WorstPDR >= pdrMin-tol
 	return row

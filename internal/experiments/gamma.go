@@ -70,7 +70,7 @@ func (s *Suite) Gamma(gammas []float64, robustPDRMin float64, maxIter int, csvPa
 			},
 			MaxIterations: maxIter,
 			AdaptiveReps:  true,
-			Engine:        s.engine(),
+			Engine:        s.eng,
 		}
 		out, err := core.NewOptimizer(s.problem(0.9), opts).Run()
 		if err != nil {

@@ -27,7 +27,7 @@ import (
 // robust-feasible candidates appear in its second pool.
 func TestGammaProposeBeatsScreenAndCut(t *testing.T) {
 	var b bytes.Buffer
-	s := NewSuite(Quick, &b)
+	s := NewSuite(Quick, &b, nil)
 	s.Adaptive = true
 
 	// Γ = 0 runs first: its pools are the small nominal classes, and the

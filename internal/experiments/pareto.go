@@ -24,7 +24,7 @@ func (s *Suite) FR(bounds []float64, latMax float64, csvPath string) (*core.Swee
 		Bounds:     bounds,
 		LatencyMax: latMax,
 		Adaptive:   s.Adaptive,
-		Options:    core.Options{Engine: s.engine()},
+		Options:    core.Options{Engine: s.eng},
 	})
 	if err != nil {
 		return nil, err

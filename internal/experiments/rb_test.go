@@ -28,7 +28,7 @@ func TestRBSmokeCSVGolden(t *testing.T) {
 		{false, "rb_smoke.csv"},
 		{true, "rb_smoke_adaptive.csv"},
 	} {
-		s := NewSuite(Fidelity{Duration: 5, Runs: 1, Seed: 1}, io.Discard)
+		s := NewSuite(Fidelity{Duration: 5, Runs: 1, Seed: 1}, io.Discard, nil)
 		s.Adaptive = tc.adaptive
 		path := filepath.Join(t.TempDir(), "rb.csv")
 		if _, err := s.RB([]int{1}, 0.9, path); err != nil {
@@ -52,7 +52,7 @@ func TestRBSmokeCSVGolden(t *testing.T) {
 // row, to exactly what the sequential Evaluator.EvaluateRobust gives under
 // the same rbRow reduction over the same k-node-failure family.
 func TestRBRowsMatchSequential(t *testing.T) {
-	s := NewSuite(Fidelity{Duration: 5, Runs: 2, Seed: 3}, io.Discard)
+	s := NewSuite(Fidelity{Duration: 5, Runs: 2, Seed: 3}, io.Discard, nil)
 	s.Mutate = func(pr *design.Problem) { pr.Constraints.MaxNodes = 4 }
 	const k, pdrMin, tol = 1, 0.9, 0.001
 	res, err := s.RB([]int{k}, pdrMin, "")
