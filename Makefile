@@ -1,6 +1,8 @@
 # Development entry points. `make check` is the full gate: the tier-1
-# build-and-test pass plus `go vet`, a gofmt cleanliness gate, and the
-# race detector on the packages with concurrent evaluation loops.
+# build-and-test pass plus `go vet` (of the root module and of the
+# separate perfbench module, which `go build ./...` never builds), a
+# gofmt cleanliness gate, and the race detector on the packages with
+# concurrent evaluation loops.
 # `make bench-smoke` compiles and runs every benchmark once — enough to
 # catch bit-rot in the perf harness without waiting for statistically
 # meaningful timings. `make benchcmp` re-measures the micro-benchmarks
@@ -19,8 +21,11 @@ build:
 test:
 	$(GO) test ./...
 
+# perfbench is its own module; vet type-checks it without dropping a
+# perfbench/perfbench binary into the tree as `go build ./...` would.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet ./...
 
 fmt:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
@@ -183,4 +188,4 @@ robust-smoke:
 milp-smoke:
 	$(GO) test -race -count=1 ./internal/lp/ ./internal/lp/presolve/ ./internal/milp/
 	$(GO) test -race -count=1 -run 'TestParallelPool' -v ./internal/milp/
-	$(GO) test -count=1 -run 'TestPaperChainWarmMatchesCold|TestWarmPoolDeepChainComplete|TestRunWarmMatchesColdMILP|TestPaperChainKernelModes' -v ./internal/core/
+	$(GO) test -count=1 -run 'TestPaperChainWarmMatchesCold|TestWarmPoolDeepChainComplete|TestRunWarmMatchesColdChain|TestPaperChainKernelModes' -v ./internal/core/

@@ -31,7 +31,6 @@ func main() {
 		twoStage  = flag.Bool("twostage", false, "screen clearly-infeasible candidates with short simulations")
 		adaptive  = flag.Bool("adaptive", false, "confidence-gated early replication stopping in the screening and robust stages (savings shown in the engine stats)")
 		verbose   = flag.Bool("v", false, "print per-iteration progress")
-		denseLP   = flag.Bool("densemilp", false, "use the dense-tableau LP kernel inside the MILP oracle (A/B baseline; pools are identical)")
 		milpWrk   = flag.Int("milpworkers", 0, "fan MILP pool enumeration across this many subtree dive workers (0 = sequential; pools are bit-identical)")
 		lpOut     = flag.String("lp", "", "write the MILP relaxation P̃ in CPLEX LP format to this file and exit")
 		mpsOut    = flag.String("mps", "", "write the MILP relaxation P̃ in free MPS format to this file and exit")
@@ -66,7 +65,7 @@ func main() {
 	}
 
 	opts := core.Options{PoolLimit: *pool, DisableAlphaBound: *noAlpha, TwoStage: *twoStage, AdaptiveReps: *adaptive,
-		DenseMILP: *denseLP, MILPWorkers: *milpWrk, MaxIterations: *maxIter}
+		MILPWorkers: *milpWrk, MaxIterations: *maxIter}
 	if *robust || *gammaFlag > 0 {
 		opts.Robust = core.RobustOptions{
 			Enabled:      true,

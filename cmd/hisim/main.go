@@ -124,7 +124,7 @@ func main() {
 	if cfg.Trace == nil {
 		req.Key = cacheKey(cfg)
 	}
-	res, err := eng.Evaluate(req)
+	res, err := eng.Evaluate(context.Background(), req)
 	c.Check(err)
 
 	names := body.Names(body.Default())
@@ -247,7 +247,7 @@ func runRobust(w io.Writer, eng *engine.Engine, cfg netsim.Config, spec string, 
 		fam.Reqs = append(fam.Reqs, req)
 	}
 	t0 := time.Now()
-	if fam.Nominal, err = eng.Evaluate(nomReq); err != nil {
+	if fam.Nominal, err = eng.Evaluate(context.Background(), nomReq); err != nil {
 		return err
 	}
 	rrs, _, err := eng.EvaluateFamilies(context.Background(), []engine.Family{fam}, gate)

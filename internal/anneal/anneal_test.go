@@ -1,9 +1,12 @@
 package anneal
 
 import (
+	"reflect"
 	"testing"
 
 	"hiopt/internal/design"
+	"hiopt/internal/engine"
+	"hiopt/internal/exhaustive"
 )
 
 func smallProblem(pdrMin float64) *design.Problem {
@@ -52,6 +55,47 @@ func TestCachingBoundsEvaluations(t *testing.T) {
 	}
 	if out.Simulations != out.Evaluations*pr.Runs {
 		t.Errorf("Simulations = %d, want evals × runs", out.Simulations)
+	}
+}
+
+// TestWarmEngineWalkMatchesFresh: a walk on an engine an exhaustive sweep
+// already filled simulates nothing fresh, yet reports exactly what the
+// same walk reports on a fresh engine — its counts are of the
+// configurations it visited, not of the engine's fresh runs.
+func TestWarmEngineWalkMatchesFresh(t *testing.T) {
+	pr := smallProblem(0.5)
+	pr.Runs = 2
+	opts := Options{Steps: 80, Seed: 4}
+	fresh, err := New(pr, opts).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := engine.New(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := exhaustive.Search(pr, exhaustive.Options{Engine: eng}); err != nil {
+		t.Fatal(err)
+	}
+	opts.Engine = eng
+	warm, err := New(pr, opts).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.Stats.Simulated != 0 {
+		t.Errorf("walk on a warm engine simulated %d configurations fresh", warm.Stats.Simulated)
+	}
+	if fresh.Evaluations == 0 || fresh.Simulations != fresh.Evaluations*pr.Runs {
+		t.Fatalf("fresh walk: %d evaluations, %d simulations", fresh.Evaluations, fresh.Simulations)
+	}
+	if !reflect.DeepEqual(warm.Best, fresh.Best) || warm.Evaluations != fresh.Evaluations ||
+		warm.Simulations != fresh.Simulations || warm.EvaluationsToBest != fresh.EvaluationsToBest {
+		t.Errorf("warm walk: best %+v, %d evaluations, %d simulations, %d to best; fresh: %+v, %d, %d, %d",
+			warm.Best, warm.Evaluations, warm.Simulations, warm.EvaluationsToBest,
+			fresh.Best, fresh.Evaluations, fresh.Simulations, fresh.EvaluationsToBest)
+	}
+	if !reflect.DeepEqual(warm.Trace, fresh.Trace) {
+		t.Error("warm walk's energy trace differs from the fresh walk's")
 	}
 }
 

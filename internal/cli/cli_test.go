@@ -1,6 +1,7 @@
 package cli
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -74,7 +75,7 @@ func TestCacheRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		req := engine.Request{Cfg: cfg, Runs: fid.Runs, Seed: fid.Seed, Key: engine.PointKey(1)}
-		if _, err := eng.Evaluate(req); err != nil {
+		if _, err := eng.Evaluate(context.Background(), req); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.close(); err != nil {

@@ -67,32 +67,22 @@ func (o *Optimizer) decodePool(mm *milpModel, work *linexpr.Compiled, pool []mil
 	return points, nil
 }
 
-// pruneCut appends Algorithm 1's Update(P̃, P̄ > P̄*) row after round i,
-// with strictness margin eps (Options.CutEpsilonMW).
-func pruneCut(mm *milpModel, work *linexpr.Compiled, i int, pStar, eps float64) {
-	work.AddExprRow(fmt.Sprintf("prune_%d", i), mm.objective, linexpr.GE, pStar+eps)
+// cutEpsilonMW is the strictness margin of the Update step's P̄ > P̄*
+// cut. It must sit well above the MILP integrality tolerance (else
+// near-integral LP points can cheat the cut) and well below the smallest
+// separation between distinct power classes (~15 µW for the CC2650 Tx
+// modes): 0.1 µW.
+const cutEpsilonMW = 1e-4
+
+// pruneCut appends Algorithm 1's Update(P̃, P̄ > P̄*) row after round i.
+func pruneCut(mm *milpModel, work *linexpr.Compiled, i int, pStar float64) {
+	work.AddExprRow(fmt.Sprintf("prune_%d", i), mm.objective, linexpr.GE, pStar+cutEpsilonMW)
 }
 
 // classOracle returns round i's class and whether it was replayed.
 type classOracle func(i int) (c *oracleClass, replayed bool, err error)
 
-// coldOracle is the ColdMILP chain: every call clones and re-solves the
-// arena from scratch, and nothing is kept past the run.
-func (o *Optimizer) coldOracle(mm *milpModel, work *linexpr.Compiled) classOracle {
-	var prev *oracleClass
-	return func(i int) (*oracleClass, bool, error) {
-		if i > 0 {
-			pruneCut(mm, work, i-1, prev.pStar, o.Options.CutEpsilonMW)
-		}
-		c, err := o.solveClass(mm, work, func() ([]milp.PoolSolution, *milp.Solution, error) {
-			return milp.SolvePool(work, milp.Options{}, o.Options.PoolLimit, 1e-6)
-		})
-		prev = c
-		return c, false, err
-	}
-}
-
-// classRecord is the warm oracle chain of one relaxation: the arena and
+// classRecord is the oracle chain of one relaxation: the arena and
 // milp.State a fresh run would build, plus every class the state has
 // produced so far, in order. classes is always a prefix of the fresh
 // chain, so round i of any run on the same key may take classes[i].
@@ -101,8 +91,6 @@ type classRecord struct {
 	// options that shape pools or the pivot path. Immutable.
 	key       *linexpr.Compiled
 	poolLimit int
-	cutEps    float64
-	dense     bool
 	workers   int
 
 	mu sync.Mutex
@@ -118,13 +106,11 @@ type classRecord struct {
 // matches reports whether a run compiling work under the optimizer's
 // current options would make the same oracle calls as this record.
 func (r *classRecord) matches(work *linexpr.Compiled, opts Options) bool {
-	return r.poolLimit == opts.PoolLimit && r.cutEps == opts.CutEpsilonMW &&
-		r.dense == opts.DenseMILP && r.workers == opts.MILPWorkers &&
-		r.key.Equal(work)
+	return r.poolLimit == opts.PoolLimit && r.workers == opts.MILPWorkers && r.key.Equal(work)
 }
 
-// classRecord returns the record a warm run over the freshly compiled
-// arena work replays from: the optimizer's current record when its key
+// classRecord returns the record a run over the freshly compiled arena
+// work replays from: the optimizer's current record when its key
 // matches and no extension of it failed, else a new record that takes
 // ownership of mm and work and replaces the old one. A run holds on to
 // the record it got, so a concurrent run that replaces it does not
@@ -143,15 +129,10 @@ func (o *Optimizer) classRecord(mm *milpModel, work *linexpr.Compiled) *classRec
 	r := &classRecord{
 		key:       work.Clone(),
 		poolLimit: o.Options.PoolLimit,
-		cutEps:    o.Options.CutEpsilonMW,
-		dense:     o.Options.DenseMILP,
 		workers:   o.Options.MILPWorkers,
 		mm:        mm,
 		work:      work,
-		st: milp.NewState(work, milp.Options{
-			DenseLP: o.Options.DenseMILP,
-			Workers: o.Options.MILPWorkers,
-		}),
+		st:        milp.NewState(work, milp.Options{Workers: o.Options.MILPWorkers}),
 	}
 	o.rec = r
 	return r
@@ -174,7 +155,7 @@ func (r *classRecord) oracle(o *Optimizer) classOracle {
 			return nil, false, r.failed
 		}
 		if i > 0 {
-			pruneCut(r.mm, r.work, i-1, r.classes[i-1].pStar, r.cutEps)
+			pruneCut(r.mm, r.work, i-1, r.classes[i-1].pStar)
 		}
 		c, err := o.solveClass(r.mm, r.work, func() ([]milp.PoolSolution, *milp.Solution, error) {
 			return r.st.SolvePool(r.poolLimit, 1e-6)

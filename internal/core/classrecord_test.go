@@ -108,11 +108,10 @@ func TestParetoFrontMatchesFreshRuns(t *testing.T) {
 		opt  Options
 	}{
 		{"paper", recordProblem, Options{}},
-		{"paper/dense", recordProblem, Options{DenseMILP: true}},
 		{"paper/workers2", recordProblem, Options{MILPWorkers: 2}},
 		{"paper/pool8", recordProblem, Options{PoolLimit: 8}},
 		{"tenant1", tenantProblem(1), Options{}},
-		{"tenant2/dense", tenantProblem(2), Options{DenseMILP: true}},
+		{"tenant2", tenantProblem(2), Options{}},
 		{"tenant3/workers2", tenantProblem(3), Options{MILPWorkers: 2}},
 	}
 	for _, c := range cases {
@@ -190,16 +189,19 @@ func TestClassRecordInvalidation(t *testing.T) {
 		}
 	})
 
-	t.Run("cut-epsilon", func(t *testing.T) {
-		// 30 µW skips the 1.02 mW class that follows the 1.0043 mW one at
-		// the default 0.1 µW: the chain itself changes, not only its bits.
+	t.Run("milp-workers", func(t *testing.T) {
+		// Parallel dives enumerate the same pools by another pivot path,
+		// so a run with them must not replay the sequential record.
 		o := warmed()
-		o.Options.CutEpsilonMW = 0.03
+		o.Options.MILPWorkers = 2
 		got := run(o)
 		if got.MILPReplayedClasses != 0 {
-			t.Fatalf("a new cut margin replayed %d classes", got.MILPReplayedClasses)
+			t.Fatalf("a new dive worker count replayed %d classes", got.MILPReplayedClasses)
 		}
-		sameOutcome(t, "cut-epsilon", got, freshRun(t, recordProblem(0.82), Options{Engine: eng, CutEpsilonMW: 0.03}))
+		sameOutcome(t, "milp-workers", got, freshRun(t, recordProblem(0.82), Options{Engine: eng, MILPWorkers: 2}))
+		if again := run(o); again.MILPReplayedClasses == 0 {
+			t.Fatal("an unchanged rerun replayed nothing")
+		}
 	})
 }
 

@@ -12,7 +12,7 @@ import (
 
 func TestRunCtxCancelled(t *testing.T) {
 	pr := fastProblem(0.9)
-	o := NewOptimizer(pr, Options{PoolLimit: 4, Workers: 2})
+	o := NewOptimizer(pr, Options{PoolLimit: 4})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := o.RunCtx(ctx); !errors.Is(err, context.Canceled) {
@@ -30,7 +30,7 @@ func TestRunCtxCancelled(t *testing.T) {
 
 func TestRunCtxCancelMidSimulation(t *testing.T) {
 	pr := fastProblem(0.9)
-	o := NewOptimizer(pr, Options{PoolLimit: 8, Workers: 2})
+	o := NewOptimizer(pr, Options{PoolLimit: 8})
 	ctx, cancel := context.WithCancel(context.Background())
 	// Cancel from inside the first candidate's evaluation: the batch must
 	// stop at sub-task granularity and RunCtx must surface the ctx error.
@@ -46,7 +46,6 @@ func TestOnIterationEvents(t *testing.T) {
 	pr := fastProblem(0.9)
 	var events []IterationEvent
 	o := NewOptimizer(pr, Options{
-		Workers:     2,
 		OnIteration: func(ev IterationEvent) { events = append(events, ev) },
 	})
 	out, err := o.Run()

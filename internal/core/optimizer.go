@@ -110,17 +110,17 @@ type Outcome struct {
 	Engine engine.Stats
 	// MILPNodes and LPIterations aggregate the solver effort of this
 	// run's MILP oracle chain. MILPWarmSolves and MILPColdSolves split the
-	// LP solves into warm dual-simplex re-starts vs cold tableau rebuilds
-	// (both zero under ColdMILP). A class replayed from the optimizer's
-	// class record counts here, and in every MILP and presolve counter
-	// below, with the effort recorded when it was solved, so all of them
-	// read the same as on a fresh optimizer.
+	// LP solves into warm dual-simplex re-starts vs cold tableau rebuilds.
+	// A class replayed from the optimizer's class record counts here, and
+	// in every MILP and presolve counter below, with the effort recorded
+	// when it was solved, so all of them read the same as on a fresh
+	// optimizer.
 	MILPNodes      int
 	LPIterations   int
 	MILPWarmSolves int
 	MILPColdSolves int
 	// MILPRefactorizations counts sparse-basis LU rebuilds inside the
-	// warm kernel (0 under ColdMILP or DenseMILP). PresolveFixedVars,
+	// warm kernel (0 on the dense kernel). PresolveFixedVars,
 	// PresolveDroppedRows and PresolveTightenedCoefs report the one-time
 	// presolve reductions applied when the warm state was built.
 	// MILPParallelDives counts the disjoint subtree dives fanned across
@@ -134,7 +134,7 @@ type Outcome struct {
 	// (stale kernel, failed dive, clone fallback); MILPDiscardedPivots is
 	// the simplex pivots they cost, on top of LPIterations.
 	// MILPIterationCaps counts warm LP runs that stopped at their pivot
-	// cap. All three are 0 under ColdMILP.
+	// cap.
 	MILPStaleRedos      int
 	MILPDiscardedPivots int
 	MILPIterationCaps   int
@@ -144,7 +144,7 @@ type Outcome struct {
 	// bounds of a ParetoFront); MILPReplayedPivots is the simplex pivots
 	// those calls cost when they were solved. The pivots this run
 	// actually spent are LPIterations − MILPReplayedPivots. Both are 0
-	// on a fresh optimizer and under ColdMILP.
+	// on a fresh optimizer.
 	MILPReplayedClasses int
 	MILPReplayedPivots  int
 	// TerminatedByAlpha reports whether the α bound (line 5 of
@@ -169,22 +169,10 @@ type Options struct {
 	// PoolLimit caps the MILP solution pool per iteration (0 =
 	// unlimited, the paper's behaviour).
 	PoolLimit int
-	// ColdMILP disables the warm-started persistent MILP state and
-	// solves every pool from scratch with the clone-based kernel. The
-	// result is identical; this exists for A/B benchmarking and as an
-	// escape hatch.
-	ColdMILP bool
-	// DenseMILP forces the dense-tableau LP kernel inside the warm MILP
-	// state instead of the size-based automatic choice (dense at the
-	// paper's ~100-row scale, sparse revised simplex above ~400
-	// rows+vars). The pools are identical; this is the correctness
-	// oracle and A/B baseline for the sparse kernel. Ignored under
-	// ColdMILP (the clone-based kernel has its own tableau).
-	DenseMILP bool
 	// MILPWorkers fans branch-and-bound pool enumeration across this many
 	// subtree dive workers (0 = sequential single-tree enumeration). The
 	// enumerated pool is bit-identical for every value >= 1 and equal as
-	// a set to the sequential pool. Ignored under ColdMILP or PoolLimit.
+	// a set to the sequential pool. Ignored under PoolLimit.
 	MILPWorkers int
 	// DisableAlphaBound turns off the line-5 early termination (used by
 	// the ablation study; the algorithm then runs until MILP exhaustion).
@@ -196,37 +184,25 @@ type Options struct {
 	// T_sim = 600 s × 3 runs is several standard errors of the PDR
 	// estimator).
 	FeasTol float64
-	// CutEpsilonMW is the strictness margin of the Update step's
-	// P̄ > P̄* cut. It must sit well above the MILP integrality
-	// tolerance (else near-integral LP points can cheat the cut) and
-	// well below the smallest separation between distinct power classes
-	// (~15 µW for the CC2650 Tx modes); the default is 0.1 µW.
-	CutEpsilonMW float64
-	// Workers sizes the evaluation engine's worker pool (0 = GOMAXPROCS;
-	// negative values are rejected by Run). Ignored when Engine is set.
-	Workers int
 	// Engine, when non-nil, is a shared evaluation service to run all
 	// simulations on; its unified (point, fidelity, scenario) cache then
 	// spans every layer using it — e.g. an exhaustive sweep can warm-fill
 	// the optimizer's full-fidelity entries. When nil the optimizer owns
-	// a private engine with Workers workers.
+	// a private default engine (GOMAXPROCS workers).
 	Engine *engine.Engine
 	// TwoStage enables a cheap screening pass before the full-fidelity
 	// evaluation of each candidate: a single run at Duration/5 first,
-	// and only candidates within ScreenMargin of the reliability bound
+	// and only candidates within screenMargin of the reliability bound
 	// (or above it) receive the full T_sim × Runs treatment. This
 	// implements the paper's observation that T_sim only needs to bound
 	// the PDR estimation error relative to the decision being made:
 	// clearly infeasible candidates don't need tight estimates.
 	TwoStage bool
-	// ScreenMargin is the rejection band of the screening pass (default
-	// 0.05 — roughly 3σ of the short run's PDR estimator).
-	ScreenMargin float64
 	// AdaptiveReps enables confidence-gated early stopping in the stages
 	// whose evaluations only feed a binary decision. The screening pass
 	// (requires TwoStage) splits its Duration/5 budget into
 	// adaptiveScreenBlocks equal blocks and stops as soon as the
-	// block-PDR confidence interval settles against PDRMin ± ScreenMargin;
+	// block-PDR confidence interval settles against PDRMin ± screenMargin;
 	// the robust stage (requires Robust.Enabled) gates each scenario's
 	// replications against PDRMin ± FeasTol and short-circuits a family
 	// once enough scenarios breach the bound to pin its Quantile order
@@ -338,12 +314,6 @@ func (o Options) withDefaults() Options {
 	if o.FeasTol == 0 {
 		o.FeasTol = 0.001
 	}
-	if o.CutEpsilonMW == 0 {
-		o.CutEpsilonMW = 1e-4
-	}
-	if o.ScreenMargin == 0 {
-		o.ScreenMargin = 0.05
-	}
 	if o.Robust.ProposeGamma > 0 {
 		o.Robust.Enabled = true
 	}
@@ -370,10 +340,8 @@ type Optimizer struct {
 	// sweep), screening results live in their own fidelity namespace —
 	// a point screened out at one bound may need a full evaluation at a
 	// looser bound — and the robust family is simulated once per
-	// (candidate, scenario) even across bound sweeps. engErr defers an
-	// invalid Workers option to Run.
-	eng    *engine.Engine
-	engErr error
+	// (candidate, scenario) even across bound sweeps.
+	eng *engine.Engine
 
 	// evalHook, when non-nil, runs before each candidate's fresh
 	// simulation (via engine.Request.Pre); tests use it to inject
@@ -403,11 +371,9 @@ type Optimizer struct {
 
 // NewOptimizer builds an optimizer with the given options.
 func NewOptimizer(pr *design.Problem, opts Options) *Optimizer {
-	o := &Optimizer{Problem: pr, Options: opts.withDefaults()}
-	if o.Options.Engine != nil {
-		o.eng = o.Options.Engine
-	} else {
-		o.eng, o.engErr = engine.New(o.Options.Workers)
+	o := &Optimizer{Problem: pr, Options: opts.withDefaults(), eng: opts.Engine}
+	if o.eng == nil {
+		o.eng, _ = engine.New(0) // New only fails on negative worker counts
 	}
 	return o
 }
@@ -451,6 +417,10 @@ func (o *Optimizer) saltKey(k engine.Key) engine.Key {
 // screenSeedOffset keeps screening runs on random streams disjoint from
 // the full evaluations'.
 const screenSeedOffset = 7777
+
+// screenMargin is the rejection band of the TwoStage screening pass:
+// roughly 3σ of the short run's PDR estimator.
+const screenMargin = 0.05
 
 // adaptiveScreenBlocks splits the screening pass's Duration/5 budget into
 // equal confidence-gated blocks under Options.AdaptiveReps. Eight blocks
@@ -501,6 +471,19 @@ func (o *Optimizer) alpha(best design.Point) float64 {
 	return pbar / lb
 }
 
+// relaxation builds and compiles the MILP relaxation P̃ a run iterates
+// on. With Robust.ProposeGamma set it is the Γ-protected relaxation: the
+// protection families are part of the warm state's matrix from the
+// start, so designs that cannot survive Γ deviations never reach the
+// simulator at all.
+func (o *Optimizer) relaxation() (*milpModel, *linexpr.Compiled, error) {
+	mm, _, err := buildRobustMILP(o.Problem, o.robustCompile())
+	if err != nil {
+		return nil, nil, err
+	}
+	return mm, mm.model.Compile(), nil
+}
+
 // Run executes Algorithm 1 and returns the outcome.
 func (o *Optimizer) Run() (*Outcome, error) {
 	return o.RunCtx(context.Background())
@@ -514,31 +497,18 @@ func (o *Optimizer) Run() (*Outcome, error) {
 // relative to simulation), so cancellation latency is one MILP solve
 // plus one engine sub-task.
 func (o *Optimizer) RunCtx(ctx context.Context) (*Outcome, error) {
-	if o.engErr != nil {
-		return nil, o.engErr
-	}
 	engStart := o.eng.Stats()
-	// With Robust.ProposeGamma set the oracle iterates on the Γ-protected
-	// relaxation: the protection families below are part of the warm
-	// state's matrix from the start, so designs that cannot survive Γ
-	// deviations never reach the simulator at all.
-	mm, _, err := buildRobustMILP(o.Problem, o.robustCompile())
+	mm, work, err := o.relaxation()
 	if err != nil {
 		return nil, err
 	}
-	work := mm.model.Compile()
 	out := &Outcome{Status: Infeasible}
 	// The MILP oracle keeps one warm solver state across iterations: the
 	// pruning cuts of the Update step are ingested into its live tableau
 	// instead of forcing a from-scratch tree. The state lives in the
 	// optimizer's class record, so a run over a relaxation an earlier run
 	// already walked replays those classes and solves only past them.
-	var next classOracle
-	if o.Options.ColdMILP {
-		next = o.coldOracle(mm, work)
-	} else {
-		next = o.classRecord(mm, work).oracle(o)
-	}
+	next := o.classRecord(mm, work).oracle(o)
 	pMin := math.Inf(1) // P̄_min: best simulated power of a feasible config
 	progress := o.Options.Progress
 	if progress == nil {
@@ -727,9 +697,6 @@ type pointEval struct {
 // error.
 func (o *Optimizer) simulateAll(ctx context.Context, points []design.Point) ([]pointEval, simStats, error) {
 	var stats simStats
-	if o.engErr != nil {
-		return nil, stats, o.engErr
-	}
 	engStart := o.eng.Stats()
 	// skippedRuns counts the runs of the robust scenarios skipped by
 	// sealed families; the engine delta contributes the replication-gate
@@ -794,7 +761,7 @@ func (o *Optimizer) simulateAll(ctx context.Context, points []design.Point) ([]p
 				reqs[i].Cfg.Duration /= adaptiveScreenBlocks
 				reqs[i].Runs = adaptiveScreenBlocks
 				reqs[i].Adaptive = &netsim.Gate{
-					PDRMin: o.Problem.PDRMin, Margin: o.Options.ScreenMargin,
+					PDRMin: o.Problem.PDRMin, Margin: screenMargin,
 					Confidence: 0.9,
 				}
 			}
@@ -805,7 +772,7 @@ func (o *Optimizer) simulateAll(ctx context.Context, points []design.Point) ([]p
 			return nil, stats, err
 		}
 		for i, p := range toScreen {
-			if srs[i].PDR < o.Problem.PDRMin-o.Options.ScreenMargin {
+			if srs[i].PDR < o.Problem.PDRMin-screenMargin {
 				screened[p.Key()] = srs[i]
 				stats.screenedOut++
 			}

@@ -35,7 +35,7 @@ func levelSets(pr *design.Problem, tol float64) (powers []float64, sets []map[de
 // brute-force enumeration of pr.Points(), on every kernel and on the
 // clone path.
 func TestFirstPoolsMatchLevelSets(t *testing.T) {
-	const rounds, tol, eps = 3, 1e-6, 1e-4
+	const rounds, tol = 3, 1e-6
 	pr := design.PaperProblem(0.9)
 	powers, sets := levelSets(pr, tol)
 
@@ -104,7 +104,7 @@ func TestFirstPoolsMatchLevelSets(t *testing.T) {
 						t.Fatalf("round %d: level-set point %v missing from the pool", r, p)
 					}
 				}
-				pruneCut(mm, work, r, agg.Objective, eps)
+				pruneCut(mm, work, r, agg.Objective)
 			}
 		})
 	}

@@ -118,9 +118,6 @@ func ParetoSweep(ctx context.Context, pr *design.Problem, so SweepOptions) (*Swe
 	}
 	sort.Float64s(bounds)
 	o := NewOptimizer(pr, so.Options)
-	if o.engErr != nil {
-		return nil, o.engErr
-	}
 	if so.Adaptive {
 		lo, hi := bounds[0], bounds[len(bounds)-1]
 		o.fullGate = &netsim.Gate{

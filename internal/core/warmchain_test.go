@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 	"sort"
 	"testing"
 
@@ -165,57 +166,102 @@ func TestWarmPoolDeepChainComplete(t *testing.T) {
 	}
 }
 
-// TestRunWarmMatchesColdMILP runs full Algorithm 1 at reduced fidelity
-// with the warm persistent MILP state and with ColdMILP, and requires
-// bit-identical outcomes: same best point, same power, same iteration
-// trace.
-func TestRunWarmMatchesColdMILP(t *testing.T) {
-	run := func(cold bool) *Outcome {
-		out, err := NewOptimizer(fastProblem(0.7), Options{ColdMILP: cold}).Run()
+// coldChain makes Algorithm 1's oracle calls for o the way the
+// clone-based kernel answers them: calls rounds of milp.SolvePool on the
+// arena RunCtx compiles, each after the previous class's prune cut, with
+// every pool verified and decoded as a run does it. Nothing is kept
+// between calls, so this is the from-scratch reference the warm class
+// record must match. It stops early at an exhausted class.
+func coldChain(t *testing.T, o *Optimizer, calls int) []*oracleClass {
+	t.Helper()
+	mm, work, err := o.relaxation()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var classes []*oracleClass
+	for i := 0; i < calls; i++ {
+		if i > 0 {
+			pruneCut(mm, work, i-1, classes[i-1].pStar)
+		}
+		c, err := o.solveClass(mm, work, func() ([]milp.PoolSolution, *milp.Solution, error) {
+			return milp.SolvePool(work, milp.Options{}, o.Options.PoolLimit, 1e-6)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return out
+		classes = append(classes, c)
+		if c.exhausted {
+			break
+		}
 	}
-	warm, cold := run(false), run(true)
-	if warm.Status != cold.Status {
-		t.Fatalf("status warm=%v cold=%v", warm.Status, cold.Status)
+	return classes
+}
+
+// pointKeys lists the design points' keys in ascending order.
+func pointKeys(points []design.Point) []uint32 {
+	keys := make([]uint32, len(points))
+	for i, p := range points {
+		keys[i] = p.Key()
 	}
-	if warm.Best == nil || cold.Best == nil {
-		t.Fatalf("missing best: warm=%v cold=%v", warm.Best, cold.Best)
+	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
+	return keys
+}
+
+// TestRunWarmMatchesColdChain runs full Algorithm 1 at reduced fidelity on
+// the warm class record and replays the same oracle calls on the cold
+// clone-based chain. Every round must propose the same pool set at the
+// same P̄* (within 1e-9), and the call that ended the warm run must end
+// the cold chain too: an exhausted class, or one the α bound rejects
+// against the warm incumbent.
+func TestRunWarmMatchesColdChain(t *testing.T) {
+	o := NewOptimizer(fastProblem(0.7), Options{})
+	warm, err := o.Run()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if warm.Best.Point != cold.Best.Point {
-		t.Errorf("best point warm=%+v cold=%+v", warm.Best.Point, cold.Best.Point)
+	if warm.Best == nil {
+		t.Fatalf("warm run found no design (status %v)", warm.Status)
 	}
-	if warm.Best.PowerMW != cold.Best.PowerMW {
-		t.Errorf("best power warm=%v cold=%v", warm.Best.PowerMW, cold.Best.PowerMW)
+	// The run made one oracle call per round plus the call whose class
+	// ended it (MILP exhaustion or the α stop).
+	calls := len(warm.Iterations) + 1
+	cold := coldChain(t, NewOptimizer(fastProblem(0.7), Options{}), calls)
+	if len(cold) != calls {
+		t.Fatalf("cold chain made %d calls, the warm run %d", len(cold), calls)
 	}
-	if warm.Evaluations != cold.Evaluations || len(warm.Iterations) != len(cold.Iterations) {
-		t.Errorf("trace differs: evals %d/%d, iters %d/%d",
-			warm.Evaluations, cold.Evaluations, len(warm.Iterations), len(cold.Iterations))
-	}
-	for i := range warm.Iterations {
+	for i, it := range warm.Iterations {
+		c := cold[i]
+		if c.exhausted || c.err != nil {
+			t.Fatalf("round %d: cold class exhausted=%v err=%v", i, c.exhausted, c.err)
+		}
 		// P̄* is a simplex tableau result: the warm pivot sequence rounds
 		// the last ~3 bits differently, which %.4f reporting and the
-		// 1e-4 mW prune margin both swallow. Everything discrete —
-		// pool sizes, feasible counts, chosen points — must match exactly.
-		w, c := warm.Iterations[i].PBarStar, cold.Iterations[i].PBarStar
-		if math.Abs(w-c) > 1e-9*(1+math.Abs(c)) {
-			t.Errorf("iter %d: P̄* warm=%v cold=%v", i, w, c)
+		// 1e-4 mW prune margin both swallow. The pools must match exactly.
+		if math.Abs(it.PBarStar-c.pStar) > 1e-9*(1+math.Abs(c.pStar)) {
+			t.Errorf("round %d: P̄* warm=%v cold=%v", i, it.PBarStar, c.pStar)
 		}
-		if len(warm.Iterations[i].Candidates) != len(cold.Iterations[i].Candidates) ||
-			warm.Iterations[i].FeasibleCount != cold.Iterations[i].FeasibleCount {
-			t.Errorf("iter %d: candidates %d/%d feasible %d/%d",
-				i, len(warm.Iterations[i].Candidates), len(cold.Iterations[i].Candidates),
-				warm.Iterations[i].FeasibleCount, cold.Iterations[i].FeasibleCount)
+		points := make([]design.Point, len(it.Candidates))
+		for k, cand := range it.Candidates {
+			points[k] = cand.Point
 		}
+		if w, c := pointKeys(points), pointKeys(c.points); !reflect.DeepEqual(w, c) {
+			t.Errorf("round %d: pool sets differ: warm %v, cold %v", i, w, c)
+		}
+		if c.agg.WarmSolves != 0 || c.agg.ColdSolves != 0 {
+			t.Errorf("round %d: cold class recorded warm-state solves %d/%d", i, c.agg.WarmSolves, c.agg.ColdSolves)
+		}
+	}
+	last := cold[len(cold)-1]
+	switch {
+	case warm.TerminatedByAlpha:
+		if last.exhausted || last.pStar/o.alpha(warm.Best.Point) <= warm.Best.PowerMW {
+			t.Errorf("the α bound stopped the warm run, but not at the cold chain's last class (P̄*=%v, exhausted=%v)", last.pStar, last.exhausted)
+		}
+	case !last.exhausted:
+		t.Error("the warm run ended on MILP exhaustion, the cold chain did not")
 	}
 	if warm.MILPWarmSolves == 0 {
 		t.Error("warm run recorded no warm solves")
-	}
-	if cold.MILPWarmSolves != 0 || cold.MILPColdSolves != 0 {
-		t.Errorf("cold run recorded warm-state stats: %d/%d",
-			cold.MILPWarmSolves, cold.MILPColdSolves)
 	}
 }
 

@@ -203,18 +203,18 @@ func TestEvaluateCtxAnswersCacheAfterCancel(t *testing.T) {
 	}
 	cfg := testConfigs()[0]
 	req := Request{Cfg: cfg, Runs: 1, Seed: 1, Key: PointKey(5)}
-	want, err := e.Evaluate(req)
+	want, err := e.Evaluate(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	got, err := e.EvaluateCtx(ctx, req)
+	got, err := e.Evaluate(ctx, req)
 	if err != nil || got != want {
 		t.Fatalf("cache hit after cancel: res=%p err=%v, want the cached %p", got, err, want)
 	}
 	// A fresh (uncached) request under a done context must not simulate.
-	if _, err := e.EvaluateCtx(ctx, Request{Cfg: cfg, Runs: 1, Seed: 9, Key: PointKey(6)}); !errors.Is(err, context.Canceled) {
+	if _, err := e.Evaluate(ctx, Request{Cfg: cfg, Runs: 1, Seed: 9, Key: PointKey(6)}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("fresh request under done ctx returned %v, want context.Canceled", err)
 	}
 }

@@ -445,19 +445,14 @@ func (e *Engine) lookupDone(k Key) *netsim.Result {
 	return r
 }
 
-// Evaluate runs (or recalls) a single request. A completed cache entry is
-// returned directly — zero allocations on the hot path — and anything
-// else becomes a one-request batch, so a replication-heavy or adaptive
-// request still uses the scheduler.
-func (e *Engine) Evaluate(req Request) (*netsim.Result, error) {
-	return e.EvaluateCtx(nil, req)
-}
-
-// EvaluateCtx is Evaluate under a cancellation context (nil behaves like
-// an uncancellable context). A cache hit is answered even after
-// cancellation — it costs nothing — but fresh work is abandoned at
+// Evaluate runs (or recalls) a single request under a cancellation
+// context (nil behaves like an uncancellable context). A completed cache
+// entry is returned directly — zero allocations on the hot path — and
+// anything else becomes a one-request batch, so a replication-heavy or
+// adaptive request still uses the scheduler. A cache hit is answered even
+// after cancellation — it costs nothing — but fresh work is abandoned at
 // replication granularity once ctx is done.
-func (e *Engine) EvaluateCtx(ctx context.Context, req Request) (*netsim.Result, error) {
+func (e *Engine) Evaluate(ctx context.Context, req Request) (*netsim.Result, error) {
 	if req.Key.Cacheable() {
 		if r := e.lookupDone(req.Key); r != nil {
 			e.stats.submitted.Add(1)
@@ -466,7 +461,7 @@ func (e *Engine) EvaluateCtx(ctx context.Context, req Request) (*netsim.Result, 
 		}
 	}
 	var one [1]*netsim.Result
-	if err := e.EvaluateBatchIntoCtx(ctx, one[:], []Request{req}, nil); err != nil {
+	if err := e.EvaluateBatchInto(ctx, one[:], []Request{req}, nil); err != nil {
 		return nil, err
 	}
 	return one[0], nil
@@ -584,31 +579,26 @@ func (e *Engine) EvaluateBatch(reqs []Request, onDone func(done, total int)) ([]
 // cache, it only bounds this caller's work.
 func (e *Engine) EvaluateBatchCtx(ctx context.Context, reqs []Request, onDone func(done, total int)) ([]*netsim.Result, error) {
 	results := make([]*netsim.Result, len(reqs))
-	if err := e.EvaluateBatchIntoCtx(ctx, results, reqs, onDone); err != nil {
+	if err := e.EvaluateBatchInto(ctx, results, reqs, onDone); err != nil {
 		return nil, err
 	}
 	return results, nil
 }
 
-// EvaluateBatchInto is EvaluateBatch writing into a caller-owned results
-// slice (len(results) must equal len(reqs)) — a cache-hot batch completes
-// without allocating. Fresh requests are expanded into per-replication
-// sub-tasks, so parallelism is bounded by the total replication count,
-// not the request count; the partials are merged in replication order,
-// keeping results bit-identical to sequential evaluation for any Workers
-// value. onDone, when non-nil, is called under a lock after each
-// completed request with the completed and total counts. A failed
+// EvaluateBatchInto is EvaluateBatchCtx writing into a caller-owned
+// results slice (len(results) must equal len(reqs)) — a cache-hot batch
+// completes without allocating. A nil ctx behaves like an uncancellable
+// context; EvaluateBatchCtx documents the cancellation contract. Fresh
+// requests are expanded into per-replication sub-tasks, so parallelism is
+// bounded by the total replication count, not the request count; the
+// partials are merged in replication order, keeping results bit-identical
+// to sequential evaluation for any Workers value. onDone, when non-nil,
+// is called under a lock after each completed request with the
+// completed and total counts. A failed
 // sub-task skips the sub-tasks behind it (in request, then replication
 // order) and the batch returns the lowest-indexed failure alone, so the
 // reported error does not depend on goroutine scheduling.
-func (e *Engine) EvaluateBatchInto(results []*netsim.Result, reqs []Request, onDone func(done, total int)) error {
-	return e.EvaluateBatchIntoCtx(nil, results, reqs, onDone)
-}
-
-// EvaluateBatchIntoCtx is EvaluateBatchInto under a cancellation context
-// (nil behaves like an uncancellable context); see EvaluateBatchCtx for
-// the cancellation contract.
-func (e *Engine) EvaluateBatchIntoCtx(ctx context.Context, results []*netsim.Result, reqs []Request, onDone func(done, total int)) error {
+func (e *Engine) EvaluateBatchInto(ctx context.Context, results []*netsim.Result, reqs []Request, onDone func(done, total int)) error {
 	if len(results) != len(reqs) {
 		return fmt.Errorf("engine: results slice length %d does not match %d requests", len(results), len(reqs))
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"strings"
@@ -157,11 +158,11 @@ func TestNoKeyBypassesCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	req := Request{Cfg: testConfigs()[0], Runs: 1, Seed: 1}
-	a, err := e.Evaluate(req)
+	a, err := e.Evaluate(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.Evaluate(req)
+	b, err := e.Evaluate(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,12 +185,12 @@ func TestRunsAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfigs()[0]
-	if _, err := e.Evaluate(Request{Cfg: cfg, Runs: 3, Seed: 1, Key: PointKey(1)}); err != nil {
+	if _, err := e.Evaluate(context.Background(), Request{Cfg: cfg, Runs: 3, Seed: 1, Key: PointKey(1)}); err != nil {
 		t.Fatal(err)
 	}
 	screen := cfg
 	screen.Duration /= 2
-	if _, err := e.Evaluate(Request{Cfg: screen, Runs: 0, Seed: 1, Key: ScreenKey(1)}); err != nil {
+	if _, err := e.Evaluate(context.Background(), Request{Cfg: screen, Runs: 0, Seed: 1, Key: ScreenKey(1)}); err != nil {
 		t.Fatal(err)
 	}
 	s := e.Stats()
@@ -421,7 +422,7 @@ func TestAdaptiveUndecidedMatchesNonAdaptive(t *testing.T) {
 		t.Fatal(err)
 	}
 	never := &netsim.Gate{MinRuns: runs + 1}
-	got, err := e.Evaluate(Request{Cfg: cfg, Runs: runs, Seed: seed, Adaptive: never})
+	got, err := e.Evaluate(context.Background(), Request{Cfg: cfg, Runs: runs, Seed: seed, Adaptive: never})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -445,7 +446,7 @@ func TestAdaptiveEarlyStopSavesReps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := e.Evaluate(Request{Cfg: cfg, Runs: budget, Seed: seed, Key: PointKey(9), Adaptive: gate})
+	got, err := e.Evaluate(context.Background(), Request{Cfg: cfg, Runs: budget, Seed: seed, Key: PointKey(9), Adaptive: gate})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -25,7 +26,7 @@ func evalFamily(t *testing.T, cfg netsim.Config, runs int, seed uint64, scenario
 		t.Fatal(err)
 	}
 	fam := Family{Tolerate: tolerate}
-	if fam.Nominal, err = e.Evaluate(Request{Cfg: cfg, Runs: runs, Seed: seed, Key: PointKey(1)}); err != nil {
+	if fam.Nominal, err = e.Evaluate(context.Background(), Request{Cfg: cfg, Runs: runs, Seed: seed, Key: PointKey(1)}); err != nil {
 		t.Fatal(err)
 	}
 	for _, sc := range scenarios {

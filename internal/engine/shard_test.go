@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"reflect"
 	"runtime"
 	"strings"
@@ -137,18 +138,18 @@ func TestCacheHitFastPathZeroAllocs(t *testing.T) {
 	}
 	reqs := testRequests(true)
 	results := make([]*netsim.Result, len(reqs))
-	if err := e.EvaluateBatchInto(results, reqs, nil); err != nil {
+	if err := e.EvaluateBatchInto(context.Background(), results, reqs, nil); err != nil {
 		t.Fatal(err)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if err := e.EvaluateBatchInto(results, reqs, nil); err != nil {
+		if err := e.EvaluateBatchInto(context.Background(), results, reqs, nil); err != nil {
 			t.Error(err)
 		}
 	}); allocs != 0 {
 		t.Fatalf("cached EvaluateBatchInto allocated %.1f objects/op, want 0", allocs)
 	}
 	if allocs := testing.AllocsPerRun(100, func() {
-		if _, err := e.Evaluate(reqs[0]); err != nil {
+		if _, err := e.Evaluate(context.Background(), reqs[0]); err != nil {
 			t.Error(err)
 		}
 	}); allocs != 0 {
@@ -161,7 +162,7 @@ func TestEvaluateBatchIntoLengthMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.EvaluateBatchInto(make([]*netsim.Result, 1), testRequests(true), nil); err == nil {
+	if err := e.EvaluateBatchInto(context.Background(), make([]*netsim.Result, 1), testRequests(true), nil); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
 }

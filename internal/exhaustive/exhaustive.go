@@ -47,11 +47,9 @@ type Result struct {
 type Options struct {
 	// FeasTol relaxes the reliability check (see core.Options.FeasTol).
 	FeasTol float64
-	// Workers sizes the evaluation engine's worker pool (0 = GOMAXPROCS;
-	// negative values are rejected). Ignored when Engine is set.
-	Workers int
-	// Engine, when non-nil, is used instead of a private engine — sharing
-	// one engine across layers shares its result cache.
+	// Engine, when non-nil, is used instead of a private default engine
+	// (GOMAXPROCS workers) — sharing one engine across layers shares its
+	// result cache.
 	Engine *engine.Engine
 	// Progress, when non-nil, is called after every k completed
 	// evaluations with (done, total).
@@ -69,10 +67,7 @@ func Search(pr *design.Problem, opts Options) (*Result, error) {
 	}
 	eng := opts.Engine
 	if eng == nil {
-		var err error
-		if eng, err = engine.New(opts.Workers); err != nil {
-			return nil, err
-		}
+		eng, _ = engine.New(0) // New only fails on negative worker counts
 	}
 	start := eng.Stats()
 	points := pr.Points()

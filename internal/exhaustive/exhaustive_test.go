@@ -2,7 +2,6 @@ package exhaustive
 
 import (
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -18,6 +17,16 @@ func smallProblem(pdrMin float64) *design.Problem {
 	pr.Runs = 1
 	pr.Constraints.MaxNodes = 4
 	return pr
+}
+
+// newEngine builds a private engine with the given worker count.
+func newEngine(t *testing.T, workers int) *engine.Engine {
+	t.Helper()
+	eng, err := engine.New(workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
 }
 
 func TestSearchCoversWholeSpace(t *testing.T) {
@@ -104,18 +113,6 @@ func TestProgressCallback(t *testing.T) {
 	}
 }
 
-// TestNegativeWorkersRejected: the engine's Workers contract surfaces
-// through Search instead of silently misbehaving.
-func TestNegativeWorkersRejected(t *testing.T) {
-	_, err := Search(smallProblem(0.5), Options{Workers: -2})
-	if err == nil {
-		t.Fatal("Search accepted a negative worker count")
-	}
-	if !strings.Contains(err.Error(), "Workers") {
-		t.Fatalf("unhelpful error: %v", err)
-	}
-}
-
 // TestGoroutineCountStaysBounded: the sweep must run on the engine's
 // fixed worker pool — O(Workers) goroutines, not O(points).
 func TestGoroutineCountStaysBounded(t *testing.T) {
@@ -124,7 +121,7 @@ func TestGoroutineCountStaysBounded(t *testing.T) {
 	const workers = 2
 	base := int64(runtime.NumGoroutine())
 	var peak atomic.Int64
-	_, err := Search(pr, Options{Workers: workers, Progress: func(done, total int) {
+	_, err := Search(pr, Options{Engine: newEngine(t, workers), Progress: func(done, total int) {
 		g := int64(runtime.NumGoroutine())
 		for {
 			p := peak.Load()
@@ -171,11 +168,11 @@ func TestSharedEngineReusesCache(t *testing.T) {
 }
 
 func TestDeterministicAcrossRuns(t *testing.T) {
-	a, err := Search(smallProblem(0.5), Options{Workers: 4})
+	a, err := Search(smallProblem(0.5), Options{Engine: newEngine(t, 4)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Search(smallProblem(0.5), Options{Workers: 1})
+	b, err := Search(smallProblem(0.5), Options{Engine: newEngine(t, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}

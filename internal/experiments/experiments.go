@@ -16,6 +16,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math"
@@ -69,13 +70,14 @@ type Suite struct {
 	// exhaustive run; a short-circuited row's WorstPDR/WorstScenario
 	// report the decisive witness rather than the exhaustive minimum.
 	// Gated results land in the suite engine's shared cache: an adaptive
-	// FR writes gated full-fidelity entries that R1–R3, PF, A1 and A2
-	// would then read, so run those studies, and the exhaustive runs of
-	// RB and FR, in a suite without Adaptive (hibench never sets it).
+	// FR writes gated full-fidelity entries that R1–R3 (the annealing
+	// walks too), PF, A1 and A2 would then read, so run those studies,
+	// and the exhaustive runs of RB and FR, in a suite without Adaptive
+	// (hibench never sets it).
 	Adaptive bool
 
-	// eng runs every simulation of the suite except A9's and the R3
-	// annealing walks, which count fresh runs.
+	// eng runs every simulation of the suite except A9's, which counts
+	// fresh runs.
 	eng       *engine.Engine
 	sweep     *exhaustive.Result
 	sweepProb *design.Problem
@@ -495,10 +497,8 @@ func (s *Suite) R3(pdrMins []float64, saSteps int) (*R3Result, error) {
 		matched := 0
 		sumToBest, sumTotal := 0, 0
 		for walk := 0; walk < saWalks; walk++ {
-			// The walks keep their private engines: their columns count
-			// fresh simulator runs.
 			sa, err := anneal.New(s.problem(pdrMin),
-				anneal.Options{Steps: saSteps, Seed: s.Fid.Seed + uint64(walk)*977}).Run()
+				anneal.Options{Steps: saSteps, Seed: s.Fid.Seed + uint64(walk)*977, Engine: s.eng}).Run()
 			if err != nil {
 				return nil, err
 			}
@@ -629,7 +629,7 @@ func (s *Suite) A3() ([]A3Row, error) {
 		pr.NHops = h
 		p := design.Point{Topology: 1<<0 | 1<<1 | 1<<3 | 1<<5 | 1<<7,
 			TxMode: 2, MAC: netsim.TDMA, Routing: netsim.Mesh}
-		res, err := s.eng.Evaluate(engine.Request{
+		res, err := s.eng.Evaluate(context.TODO(), engine.Request{
 			Cfg: pr.Config(p), Runs: pr.Runs, Seed: pr.Seed,
 			Label: fmt.Sprintf("A3 h=%d", h),
 		})
@@ -667,7 +667,7 @@ func (s *Suite) A4() ([]A4Row, error) {
 		pr.SlotSeconds = slotMS / 1000
 		p := design.Point{Topology: 1<<0 | 1<<1 | 1<<3 | 1<<5 | 1<<7,
 			TxMode: 2, MAC: netsim.TDMA, Routing: netsim.Mesh}
-		res, err := s.eng.Evaluate(engine.Request{
+		res, err := s.eng.Evaluate(context.TODO(), engine.Request{
 			Cfg: pr.Config(p), Runs: pr.Runs, Seed: pr.Seed,
 			Label: fmt.Sprintf("A4 slot=%vms", slotMS),
 		})

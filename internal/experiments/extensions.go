@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -88,7 +89,7 @@ func (s *Suite) A6() ([]A6Row, error) {
 	var tbl [][]string
 	for _, p := range corners {
 		pr := s.problem(0.9)
-		res, err := s.eng.Evaluate(engine.Request{
+		res, err := s.eng.Evaluate(context.TODO(), engine.Request{
 			Cfg: pr.Config(p), Runs: pr.Runs, Seed: pr.Seed,
 			Label: "A6 " + pointLabel(p),
 		})
@@ -138,14 +139,14 @@ func (s *Suite) A7() ([]A7Row, error) {
 		pr := s.problem(0.9)
 		p := design.Point{Topology: 0b11001011, TxMode: 2, MAC: netsim.TDMA, Routing: sc.routing}
 		cfg := pr.Config(p)
-		healthy, err := s.eng.Evaluate(engine.Request{
+		healthy, err := s.eng.Evaluate(context.TODO(), engine.Request{
 			Cfg: cfg, Runs: pr.Runs, Seed: pr.Seed, Label: "A7 healthy " + sc.label,
 		})
 		if err != nil {
 			return nil, err
 		}
 		cfg.Failures = []netsim.NodeFailure{{Location: sc.fail, At: cfg.Duration / 4}}
-		failed, err := s.eng.Evaluate(engine.Request{
+		failed, err := s.eng.Evaluate(context.TODO(), engine.Request{
 			Cfg: cfg, Runs: pr.Runs, Seed: pr.Seed, Label: "A7 failed " + sc.label,
 		})
 		if err != nil {
@@ -174,14 +175,14 @@ func (s *Suite) A8() (*A8Result, error) {
 	pr := s.problem(0.9)
 	p := design.Point{Topology: 0b1001011, TxMode: 2, MAC: netsim.TDMA, Routing: netsim.Star}
 	cfg := pr.Config(p)
-	duty, err := s.eng.Evaluate(engine.Request{
+	duty, err := s.eng.Evaluate(context.TODO(), engine.Request{
 		Cfg: cfg, Runs: pr.Runs, Seed: pr.Seed, Label: "A8 duty-cycled",
 	})
 	if err != nil {
 		return nil, err
 	}
 	cfg.IdleListening = true
-	idle, err := s.eng.Evaluate(engine.Request{
+	idle, err := s.eng.Evaluate(context.TODO(), engine.Request{
 		Cfg: cfg, Runs: pr.Runs, Seed: pr.Seed, Label: "A8 idle-listening",
 	})
 	if err != nil {
@@ -262,7 +263,7 @@ func (s *Suite) A10() ([]A10Row, error) {
 		p := design.Point{Topology: 0b10101011, TxMode: 2, MAC: netsim.CSMA, Routing: netsim.Mesh}
 		cfg := pr.Config(p)
 		cfg.CSMAParams.AccessMode = m.am
-		res, err := s.eng.Evaluate(engine.Request{
+		res, err := s.eng.Evaluate(context.TODO(), engine.Request{
 			Cfg: cfg, Runs: pr.Runs, Seed: pr.Seed, Label: "A10 " + m.label,
 		})
 		if err != nil {
@@ -296,7 +297,7 @@ func (s *Suite) A11() ([]A11Row, error) {
 		p := design.Point{Topology: 0b10101011, TxMode: 2, MAC: netsim.TDMA, Routing: netsim.Mesh}
 		cfg := pr.Config(p)
 		cfg.TDMABuffer = cap
-		res, err := s.eng.Evaluate(engine.Request{
+		res, err := s.eng.Evaluate(context.TODO(), engine.Request{
 			Cfg: cfg, Runs: pr.Runs, Seed: pr.Seed, Label: fmt.Sprintf("A11 B=%d", cap),
 		})
 		if err != nil {

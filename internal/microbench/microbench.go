@@ -7,6 +7,7 @@
 package microbench
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"runtime"
@@ -233,13 +234,13 @@ func engineCacheHit(b *testing.B) {
 	}
 	reqs := engineBatchRequests(true)
 	results := make([]*netsim.Result, len(reqs))
-	if err := eng.EvaluateBatchInto(results, reqs, nil); err != nil {
+	if err := eng.EvaluateBatchInto(context.Background(), results, reqs, nil); err != nil {
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := eng.EvaluateBatchInto(results, reqs, nil); err != nil {
+		if err := eng.EvaluateBatchInto(context.Background(), results, reqs, nil); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -267,7 +268,7 @@ func contendHits(b *testing.B, eng *engine.Engine, reqs []engine.Request, g, tot
 		go func() {
 			defer wg.Done()
 			for i := 0; i < n; i++ {
-				if _, err := eng.Evaluate(reqs[(w+i)%len(reqs)]); err != nil {
+				if _, err := eng.Evaluate(context.Background(), reqs[(w+i)%len(reqs)]); err != nil {
 					b.Error(err)
 				}
 			}
@@ -350,7 +351,7 @@ func engineDiskWarm(b *testing.B) {
 		if _, err := warm.LoadCache(path, sig); err != nil {
 			b.Fatal(err)
 		}
-		if err := warm.EvaluateBatchInto(results, reqs, nil); err != nil {
+		if err := warm.EvaluateBatchInto(context.Background(), results, reqs, nil); err != nil {
 			b.Fatal(err)
 		}
 		if st := warm.Stats(); st.Simulated != 0 || st.DiskHits != int64(len(reqs)) {
