@@ -556,7 +556,7 @@ func BenchmarkMILPKnapsack(b *testing.B) {
 
 // BenchmarkExtParetoSweep measures one ε-constraint Pareto sweep — the
 // full hisweep -pareto pipeline (one Algorithm 1 run per bound over the
-// shared class record and engine cache) — over an 8-bound grid at 20 s
+// engine's class ledger and cache) — over an 8-bound grid at 20 s
 // fidelity on a fresh engine per op, reporting the pivots solved and the
 // engine's fresh fraction alongside ns/op.
 func BenchmarkExtParetoSweep(b *testing.B) {

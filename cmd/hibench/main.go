@@ -110,7 +110,7 @@ func main() {
 		run("gm", func() error { _, err := suite.Gamma(nil, 0, 8, *csvPath); return err })
 	}
 	// fr enumerates the ε-constraint front over the default 16-bound grid
-	// (one Algorithm 1 run per bound over the shared class record) —
+	// (one Algorithm 1 run per bound over the engine's class ledger) —
 	// likewise explicit-only.
 	if want["fr"] {
 		run("fr", func() error { _, err := suite.FR(nil, 0, *csvPath); return err })

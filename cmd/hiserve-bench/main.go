@@ -52,6 +52,9 @@ var profiles = []string{
 
 func main() {
 	c := cli.New(flag.CommandLine, "hiserve-bench")
+	// The in-process server stands in for the daemon, so it runs under
+	// the daemon's cache budget.
+	c.CacheBudget(serve.DefaultCacheBytes / (1 << 20))
 	var (
 		url      = flag.String("url", "", "bench a live daemon at this base URL (default: in-process server)")
 		clients  = flag.Int("clients", 1000, "concurrent clients")

@@ -7,7 +7,7 @@
 // Usage:
 //
 //	hiserve -addr :8080
-//	hiserve -addr :8080 -workers 8 -shards 64 -cachefile /var/lib/hiserve.bin
+//	hiserve -addr :8080 -workers 8 -shards 64 -cachemb 64 -cachefile /var/lib/hiserve.bin
 //	curl -d '{"body_scale": 1.1, "pdr_min": 0.95}' localhost:8080/v1/design
 package main
 
@@ -56,6 +56,7 @@ func newServer(addr string, h http.Handler) *http.Server {
 
 func main() {
 	c := cli.New(flag.CommandLine, "hiserve")
+	c.CacheBudget(serve.DefaultCacheBytes / (1 << 20))
 	var (
 		addr      = flag.String("addr", ":8080", "listen address")
 		workers   = flag.Int("workers", 0, "engine worker pool size (0 = GOMAXPROCS)")

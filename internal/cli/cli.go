@@ -1,8 +1,8 @@
 // Package cli is the harness every command-line tool runs through: one
 // flag group (the fidelity flags -duration/-runs/-seed/-paper, the engine
-// flags -shards/-cachefile and the profiling flags
-// -cpuprofile/-memprofile), one evaluation-engine lifecycle and one
-// "<cmd>: err" exit path.
+// flags -shards/-cachefile, a long-running command's -cachemb, and the
+// profiling flags -cpuprofile/-memprofile), one evaluation-engine
+// lifecycle and one "<cmd>: err" exit path.
 //
 // A command registers the shared flags next to its own, parses, takes
 // its engine from Start and ends through Close:
@@ -36,10 +36,11 @@ type Command struct {
 	CPUProfile string
 	MemProfile string
 
-	name  string
-	fs    *flag.FlagSet
-	fid   *experiments.Fidelity
-	paper bool
+	name    string
+	fs      *flag.FlagSet
+	fid     *experiments.Fidelity
+	paper   bool
+	cacheMB *float64
 
 	eng     *engine.Engine
 	cpuFile *os.File
@@ -68,6 +69,14 @@ func (c *Command) Fidelity() *experiments.Fidelity {
 	return c.fid
 }
 
+// CacheBudget registers -cachemb, the engine's byte budget in MiB with
+// default defMB (0 = unbounded). Only a command that runs without end
+// needs it — a daemon minting first-time tenants; a batch run's cache is
+// bounded by its finite work, and its engine never evicts.
+func (c *Command) CacheBudget(defMB float64) {
+	c.cacheMB = c.fs.Float64("cachemb", defMB, "engine cache budget in MiB for cached results and class-ledger records; past it the least recently used are evicted (0 = unbounded)")
+}
+
 // Parse parses args into the registered flags and resolves -paper.
 func (c *Command) Parse(args []string) {
 	c.Check(c.fs.Parse(args))
@@ -78,8 +87,8 @@ func (c *Command) Parse(args []string) {
 
 // Start begins the requested profiles and returns the command's engine:
 // workers simulation workers (0 = GOMAXPROCS) over -shards cache shards,
-// with -cachefile attached under the context signature sig. Any failure
-// exits through Check.
+// bounded by -cachemb when registered, with -cachefile attached under the
+// context signature sig. Any failure exits through Check.
 func (c *Command) Start(sig uint64, workers int) *engine.Engine {
 	eng, err := c.start(sig, workers)
 	c.Check(err)
@@ -102,6 +111,12 @@ func (c *Command) start(sig uint64, workers int) (*engine.Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	if c.cacheMB != nil {
+		// Before the cache file: loaded entries are charged too.
+		if err := eng.SetBudget(int64(*c.cacheMB * (1 << 20))); err != nil {
+			return nil, err
+		}
+	}
 	if c.CacheFile != "" {
 		n, err := eng.AttachCacheFile(c.CacheFile, sig)
 		if err != nil {
@@ -109,6 +124,9 @@ func (c *Command) start(sig uint64, workers int) (*engine.Engine, error) {
 		}
 		if n > 0 {
 			fmt.Printf("cache:        loaded %d entries from %s\n", n, c.CacheFile)
+		}
+		if skipped := eng.Stats().LoadSkipped; skipped > 0 {
+			fmt.Printf("cache:        skipped %d entries past the %g MiB budget\n", skipped, *c.cacheMB)
 		}
 	}
 	c.eng = eng

@@ -91,6 +91,49 @@ func TestCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCacheBudget: -cachemb exists only where a command registers it; it
+// bounds the engine before the cache file loads, so entries past the
+// budget are skipped, and the loaded ones are charged within it.
+func TestCacheBudget(t *testing.T) {
+	if c, _ := newCommand(t); c.fs.Lookup("cachemb") != nil {
+		t.Fatal("-cachemb registered without CacheBudget")
+	}
+	path := filepath.Join(t.TempDir(), "cache.bin")
+	cfg := netsim.DefaultConfig([]int{0, 1, 3, 6}, netsim.TDMA, netsim.Star, 0)
+	cfg.Duration = 1
+	const entries = 64
+	run := func(args ...string) *engine.Engine {
+		c := New(flag.NewFlagSet("test", flag.ContinueOnError), "test")
+		fid := c.Fidelity()
+		c.CacheBudget(2)
+		c.Parse(append([]string{"-duration", "1", "-cachefile", path}, args...))
+		eng, err := c.start(fid.Sig(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < entries; i++ {
+			req := engine.Request{Cfg: cfg, Runs: 1, Seed: uint64(i + 1), Key: engine.ScenarioKey(1, uint64(i+1))}
+			if _, err := eng.Evaluate(context.Background(), req); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.close(); err != nil {
+			t.Fatal(err)
+		}
+		return eng
+	}
+	if b, _ := run("-cachemb", "0").Budget(); b != 0 {
+		t.Fatalf("-cachemb 0: budget %d, want unbounded", b)
+	}
+	eng := run("-cachemb", "0.01")
+	budget, resident := eng.Budget()
+	st := eng.Stats()
+	if mb := 0.01; budget != int64(mb*(1<<20)) || resident > budget || st.LoadSkipped == 0 || st.DiskHits == 0 || st.DiskHits+st.LoadSkipped != entries {
+		t.Fatalf("budget %d, resident %d, %s, %d skipped: want %d entries split into disk hits and skips within the budget",
+			budget, resident, st, st.LoadSkipped, entries)
+	}
+}
+
 // TestProfilesOff: without -cpuprofile and -memprofile, Start and Close
 // write no profile.
 func TestProfilesOff(t *testing.T) {

@@ -3,18 +3,24 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"hiopt/internal/design"
+	"hiopt/internal/fault"
 	"hiopt/internal/linexpr"
 	"hiopt/internal/milp"
 )
 
-// This file is the Optimizer's class record: the power classes its warm
-// MILP oracle has produced, kept so that a later run over the same
-// relaxation replays them instead of solving them again. P̃ depends only
-// on the constraints, the radio and Eq. (9) — not on PDRMin — so the
-// bounds of a ParetoFront share one class chain, and each of its classes
-// is solved once per front instead of once per bound.
+// This file is Algorithm 1's class ledger: the power classes the warm
+// MILP oracle has produced, kept in the engine's side table (engine.Ledger)
+// so that any later run over the same relaxation on the same engine
+// replays them instead of solving them again. P̃ depends only on the
+// constraints, the radio, the rate, the packet time, the hop count and
+// the baseline power — not on PDRMin, the body geometry, the channel, the
+// battery or the seed — so the bounds of a ParetoFront and the tenants of
+// a daemon share one class chain, and each of its classes is solved once
+// per engine instead of once per run.
 
 // oracleClass is one call of Algorithm 1's MILP oracle: the power class
 // it returned (P̄* and the decoded pool, in pool order), the solve's
@@ -87,84 +93,130 @@ type classOracle func(i int) (c *oracleClass, replayed bool, err error)
 // produced so far, in order. classes is always a prefix of the fresh
 // chain, so round i of any run on the same key may take classes[i].
 type classRecord struct {
-	// The key: the compiled arena before presolve and cuts, and the
-	// options that shape pools or the pivot path. Immutable.
+	// The key: the compiled arena before presolve and cuts, its ledger
+	// hash, and the options that shape pools or the pivot path; and the
+	// model that decodes the arena's solutions. Immutable.
 	key       *linexpr.Compiled
+	hash      uint64
 	poolLimit int
 	workers   int
+	mm        *milpModel
+
+	// broken is set, with failed, when an extension failed: the ledger
+	// then files a fresh record in this one's place. It is an atomic so
+	// the ledger's lookup never waits on mu, which a solve holds.
+	broken atomic.Bool
 
 	mu sync.Mutex
-	// Guarded by mu: the record's own model, cut arena and warm state;
-	// the classes solved on them; and the error of a failed extension.
-	mm      *milpModel
+	// Guarded by mu: the record's cut arena and warm state, built from
+	// the key by the first extension; the classes solved on them; and
+	// the error of a failed extension.
 	work    *linexpr.Compiled
 	st      *milp.State
 	classes []*oracleClass
 	failed  error
 }
 
-// matches reports whether a run compiling work under the optimizer's
-// current options would make the same oracle calls as this record.
+// recordHash is the ledger hash of a relaxation: the compiled arena's
+// hash with the pool-shaping options folded in.
+func recordHash(work *linexpr.Compiled, opts Options) uint64 {
+	h := fault.CombineKeys(work.Hash(), uint64(opts.PoolLimit))
+	return fault.CombineKeys(h, uint64(opts.MILPWorkers))
+}
+
+// matches reports whether a run compiling work under opts would make the
+// same oracle calls as this record.
 func (r *classRecord) matches(work *linexpr.Compiled, opts Options) bool {
 	return r.poolLimit == opts.PoolLimit && r.workers == opts.MILPWorkers && r.key.Equal(work)
 }
 
 // classRecord returns the record a run over the freshly compiled arena
-// work replays from: the optimizer's current record when its key
-// matches and no extension of it failed, else a new record that takes
-// ownership of mm and work and replaces the old one. A run holds on to
-// the record it got, so a concurrent run that replaces it does not
-// disturb it.
+// work replays from: the engine ledger's record for that relaxation when
+// one is filed and no extension of it failed, else a new record keyed on
+// work (which it takes ownership of, with mm) and filed in the ledger,
+// charged from its first extension on. Filing builds no solver state, so
+// the ledger's lock is held only for the lookup. A run holds on to the
+// record it got, so neither a concurrent run that replaces it nor an
+// eviction disturbs it.
 func (o *Optimizer) classRecord(mm *milpModel, work *linexpr.Compiled) *classRecord {
-	o.recMu.Lock()
-	defer o.recMu.Unlock()
-	if r := o.rec; r != nil && r.matches(work, o.Options) {
-		r.mu.Lock()
-		failed := r.failed
-		r.mu.Unlock()
-		if failed == nil {
-			return r
+	h := recordHash(work, o.Options)
+	return o.eng.Ledger(h, func(v any) bool {
+		r := v.(*classRecord)
+		return !r.broken.Load() && r.matches(work, o.Options)
+	}, func() any {
+		return &classRecord{
+			key:       work,
+			hash:      h,
+			poolLimit: o.Options.PoolLimit,
+			workers:   o.Options.MILPWorkers,
+			mm:        mm,
 		}
+	}).(*classRecord)
+}
+
+// bytes estimates the record's footprint for the engine's budget: its
+// key arena, its cut arena, the warm state's tableau (sized like the cut
+// arena — a dense row of coefficients per row) and its decoded classes.
+// Callers hold mu.
+func (r *classRecord) bytes() int64 {
+	n := int64(unsafe.Sizeof(*r)) + arenaBytes(r.key) + 2*arenaBytes(r.work)
+	for _, c := range r.classes {
+		n += int64(unsafe.Sizeof(*c)) + int64(len(c.points))*int64(unsafe.Sizeof(design.Point{}))
 	}
-	r := &classRecord{
-		key:       work.Clone(),
-		poolLimit: o.Options.PoolLimit,
-		workers:   o.Options.MILPWorkers,
-		mm:        mm,
-		work:      work,
-		st:        milp.NewState(work, milp.Options{Workers: o.Options.MILPWorkers}),
-	}
-	o.rec = r
-	return r
+	return n
+}
+
+// arenaBytes estimates a compiled arena's footprint: its dense rows and
+// its per-variable vectors.
+func arenaBytes(c *linexpr.Compiled) int64 {
+	n := int64(len(c.Rows)) * (int64(unsafe.Sizeof(linexpr.CompiledRow{})) + 8*int64(c.NumVars))
+	return n + int64(c.NumVars)*(4*8+1+int64(unsafe.Sizeof("")))
 }
 
 // oracle returns the record's chain as seen by a run of o: round i
 // replays classes[i] when it exists and otherwise extends the record by
-// one call. Before an extension it adds the previous class's prune cut,
+// one call, building the cut arena and warm state from the key on the
+// first. Before an extension it adds the previous class's prune cut,
 // so the state sees exactly a fresh run's call sequence — SolvePool, cut,
 // SolvePool, … — and the pool is verified against the arena a fresh run
-// would verify it against.
+// would verify it against. An extension re-charges the record's grown
+// footprint to the engine's budget.
 func (r *classRecord) oracle(o *Optimizer) classOracle {
 	return func(i int) (*oracleClass, bool, error) {
-		r.mu.Lock()
-		defer r.mu.Unlock()
-		if i < len(r.classes) {
-			return r.classes[i], true, nil
+		c, replayed, n, err := r.class(o, i)
+		if n > 0 {
+			o.eng.LedgerCharge(r.hash, r, n)
 		}
-		if r.failed != nil {
-			return nil, false, r.failed
-		}
-		if i > 0 {
-			pruneCut(r.mm, r.work, i-1, r.classes[i-1].pStar)
-		}
-		c, err := o.solveClass(r.mm, r.work, func() ([]milp.PoolSolution, *milp.Solution, error) {
-			return r.st.SolvePool(r.poolLimit, 1e-6)
-		})
-		if err != nil {
-			r.failed = err
-			return nil, false, err
-		}
-		r.classes = append(r.classes, c)
-		return c, false, nil
+		return c, replayed, err
 	}
+}
+
+// class returns round i's class, extending the record when needed; n is
+// the record's grown footprint after an extension (0 otherwise).
+func (r *classRecord) class(o *Optimizer, i int) (c *oracleClass, replayed bool, n int64, err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if i < len(r.classes) {
+		return r.classes[i], true, 0, nil
+	}
+	if r.failed != nil {
+		return nil, false, 0, r.failed
+	}
+	if r.st == nil {
+		r.work = r.key.Clone()
+		r.st = milp.NewState(r.work, milp.Options{Workers: r.workers})
+	}
+	if i > 0 {
+		pruneCut(r.mm, r.work, i-1, r.classes[i-1].pStar)
+	}
+	c, err = o.solveClass(r.mm, r.work, func() ([]milp.PoolSolution, *milp.Solution, error) {
+		return r.st.SolvePool(r.poolLimit, 1e-6)
+	})
+	if err != nil {
+		r.failed = err
+		r.broken.Store(true)
+		return nil, false, 0, err
+	}
+	r.classes = append(r.classes, c)
+	return c, false, r.bytes(), nil
 }

@@ -80,10 +80,15 @@ func sameOutcome(t *testing.T, label string, got, want *Outcome) {
 	}
 }
 
-// freshRun runs a new optimizer on the shared engine and checks it
-// replayed nothing.
+// freshRun runs a new optimizer on an engine of its own — so on an empty
+// class ledger — and checks it replayed nothing.
 func freshRun(t *testing.T, pr *design.Problem, opts Options) *Outcome {
 	t.Helper()
+	eng, err := engine.New(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts.Engine = eng
 	out, err := NewOptimizer(pr, opts).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -92,6 +97,22 @@ func freshRun(t *testing.T, pr *design.Problem, opts Options) *Outcome {
 		t.Fatalf("fresh optimizer replayed %d classes (%d pivots)", out.MILPReplayedClasses, out.MILPReplayedPivots)
 	}
 	return out
+}
+
+// ledgerRun runs a new optimizer on the engine of opts, whose class
+// ledger already holds pr's whole chain, and checks it replayed every
+// class and equals want.
+func ledgerRun(t *testing.T, label string, pr *design.Problem, opts Options, want *Outcome) {
+	t.Helper()
+	out, err := NewOptimizer(pr, opts).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.MILPClasses == 0 || out.MILPReplayedClasses != out.MILPClasses || out.MILPReplayedPivots != out.LPIterations {
+		t.Fatalf("%s: a second optimizer on the shared engine replayed %d of %d classes (%d of %d pivots)",
+			label, out.MILPReplayedClasses, out.MILPClasses, out.MILPReplayedPivots, out.LPIterations)
+	}
+	sameOutcome(t, label+"/ledger", out, want)
 }
 
 // TestParetoFrontMatchesFreshRuns: a ParetoFront replays Algorithm 1's
@@ -129,7 +150,9 @@ func TestParetoFrontMatchesFreshRuns(t *testing.T) {
 			replayed, spent, deepest := 0, 0, 0
 			for k, b := range bounds {
 				got := front[k].Outcome
-				sameOutcome(t, c.name, got, freshRun(t, c.mk(b), opts))
+				want := freshRun(t, c.mk(b), opts)
+				sameOutcome(t, c.name, got, want)
+				ledgerRun(t, c.name, c.mk(b), opts, want)
 				replayed += got.MILPReplayedClasses
 				spent += got.LPIterations - got.MILPReplayedPivots
 				deepest = max(deepest, got.LPIterations)
@@ -183,7 +206,9 @@ func TestClassRecordInvalidation(t *testing.T) {
 		}
 		pr := recordProblem(0.82)
 		pr.Constraints.MaxNodes = 5
-		sameOutcome(t, "constraints", got, freshRun(t, pr, Options{Engine: eng}))
+		want := freshRun(t, pr, Options{})
+		sameOutcome(t, "constraints", got, want)
+		ledgerRun(t, "constraints", pr, Options{Engine: eng}, want)
 		if again := run(o); again.MILPReplayedClasses == 0 {
 			t.Fatal("an unchanged rerun replayed nothing")
 		}
@@ -198,7 +223,9 @@ func TestClassRecordInvalidation(t *testing.T) {
 		if got.MILPReplayedClasses != 0 {
 			t.Fatalf("a new dive worker count replayed %d classes", got.MILPReplayedClasses)
 		}
-		sameOutcome(t, "milp-workers", got, freshRun(t, recordProblem(0.82), Options{Engine: eng, MILPWorkers: 2}))
+		want := freshRun(t, recordProblem(0.82), Options{MILPWorkers: 2})
+		sameOutcome(t, "milp-workers", got, want)
+		ledgerRun(t, "milp-workers", recordProblem(0.82), Options{Engine: eng, MILPWorkers: 2}, want)
 		if again := run(o); again.MILPReplayedClasses == 0 {
 			t.Fatal("an unchanged rerun replayed nothing")
 		}
@@ -233,7 +260,9 @@ func TestClassRecordGammaFloorFollowsBound(t *testing.T) {
 		replayed := 0
 		for k, b := range bounds {
 			got := front[k].Outcome
-			sameOutcome(t, "gamma", got, freshRun(t, pr(b), opts))
+			want := freshRun(t, pr(b), opts)
+			sameOutcome(t, "gamma", got, want)
+			ledgerRun(t, "gamma", pr(b), opts, want)
 			replayed += got.MILPReplayedClasses
 		}
 		if !pinned && replayed != 0 {
@@ -270,10 +299,11 @@ func TestClassRecordConcurrentRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := freshRun(t, recordProblem(0.82), Options{Engine: eng})
+	want := freshRun(t, recordProblem(0.82), Options{})
 	for _, out := range outs {
 		sameOutcome(t, "concurrent", out, want)
 	}
+	ledgerRun(t, "concurrent", recordProblem(0.82), Options{Engine: eng}, want)
 	// Every round of this chain, and its α-terminating call, went through
 	// the oracle once per run.
 	calls := len(want.Iterations)

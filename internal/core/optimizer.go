@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"hiopt/internal/design"
@@ -111,10 +110,10 @@ type Outcome struct {
 	// MILPNodes and LPIterations aggregate the solver effort of this
 	// run's MILP oracle chain. MILPWarmSolves and MILPColdSolves split the
 	// LP solves into warm dual-simplex re-starts vs cold tableau rebuilds.
-	// A class replayed from the optimizer's class record counts here, and
+	// A class replayed from the engine's class ledger counts here, and
 	// in every MILP and presolve counter below, with the effort recorded
 	// when it was solved, so all of them read the same as on a fresh
-	// optimizer.
+	// engine.
 	MILPNodes      int
 	LPIterations   int
 	MILPWarmSolves int
@@ -138,13 +137,15 @@ type Outcome struct {
 	MILPStaleRedos      int
 	MILPDiscardedPivots int
 	MILPIterationCaps   int
-	// MILPReplayedClasses counts the oracle calls of this run answered
-	// from the optimizer's class record instead of a fresh SolvePool (a
-	// later run over the same relaxation, e.g. the second and later
-	// bounds of a ParetoFront); MILPReplayedPivots is the simplex pivots
-	// those calls cost when they were solved. The pivots this run
-	// actually spent are LPIterations − MILPReplayedPivots. Both are 0
-	// on a fresh optimizer.
+	// MILPClasses counts the oracle calls of this run, each one power
+	// class. MILPReplayedClasses counts those answered from the engine's
+	// class ledger instead of a fresh SolvePool (a later run over the
+	// same relaxation on the same engine: the second and later bounds of
+	// a ParetoFront, a daemon's later tenants); MILPReplayedPivots is the
+	// simplex pivots those calls cost when they were solved. The pivots
+	// this run actually spent are LPIterations − MILPReplayedPivots. Both
+	// replay counters are 0 on a fresh engine.
+	MILPClasses         int
 	MILPReplayedClasses int
 	MILPReplayedPivots  int
 	// TerminatedByAlpha reports whether the α bound (line 5 of
@@ -360,13 +361,6 @@ type Optimizer struct {
 	// bound: Run marks a candidate whose simulated p95 latency exceeds it
 	// infeasible.
 	latencyMax float64
-
-	// rec is the class record of the last warm run (classrecord.go):
-	// later runs over the same relaxation replay its classes instead of
-	// solving them again. recMu guards the pointer; the record guards
-	// its own contents.
-	recMu sync.Mutex
-	rec   *classRecord
 }
 
 // NewOptimizer builds an optimizer with the given options.
@@ -505,9 +499,10 @@ func (o *Optimizer) RunCtx(ctx context.Context) (*Outcome, error) {
 	out := &Outcome{Status: Infeasible}
 	// The MILP oracle keeps one warm solver state across iterations: the
 	// pruning cuts of the Update step are ingested into its live tableau
-	// instead of forcing a from-scratch tree. The state lives in the
-	// optimizer's class record, so a run over a relaxation an earlier run
-	// already walked replays those classes and solves only past them.
+	// instead of forcing a from-scratch tree. The state lives in a class
+	// record in the engine's ledger, so a run over a relaxation any
+	// earlier run on the engine already walked replays those classes and
+	// solves only past them.
 	next := o.classRecord(mm, work).oracle(o)
 	pMin := math.Inf(1) // P̄_min: best simulated power of a feasible config
 	progress := o.Options.Progress
@@ -535,6 +530,7 @@ func (o *Optimizer) RunCtx(ctx context.Context) (*Outcome, error) {
 			return nil, err
 		}
 		out.addSolve(&cls.agg)
+		out.MILPClasses++
 		if replayed {
 			out.MILPReplayedClasses++
 			out.MILPReplayedPivots += cls.agg.LPIterations
@@ -942,12 +938,13 @@ type ParetoPoint struct {
 // returns the resulting lifetime-versus-reliability trade-off curve (the
 // arrows of the paper's Fig. 3). All runs share one optimizer, and with
 // it one simulation cache — a configuration's simulated metrics do not
-// depend on PDRMin — and one class record: the relaxation P̃ does not
-// depend on PDRMin either (unless a Γ proposal's robust floor follows
-// it), so each power class is solved once, at the first bound that
-// reaches it, and replayed at the others. Every bound's Outcome is still
-// bit-identical to an independent run's; its MILPReplayedClasses and
-// MILPReplayedPivots say how much of its chain came from the record.
+// depend on PDRMin — and one class record in the engine's ledger: the
+// relaxation P̃ does not depend on PDRMin either (unless a Γ proposal's
+// robust floor follows it), so each power class is solved once, at the
+// first bound that reaches it, and replayed at the others. Every bound's
+// Outcome is still bit-identical to an independent run's; its
+// MILPReplayedClasses and MILPReplayedPivots say how much of its chain
+// came from the ledger.
 //
 // The problem's PDRMin field is overwritten during the sweep and left at
 // the last bound.

@@ -13,9 +13,10 @@ import (
 // This file is the ε-constraint Pareto sweep: enumerate the
 // NLT/PDR/latency trade-off front by running Algorithm 1 once per
 // reliability bound PDRmin, exactly as ParetoFront does, on one
-// optimizer. The optimizer's class record (classrecord.go) solves each
+// optimizer. The engine's class ledger (classrecord.go) solves each
 // power class once, at the first bound that reaches it, and replays it
-// at the others; its engine shares every simulation across bounds. On
+// at the others; the engine's cache shares every simulation across
+// bounds. On
 // top of the per-bound runs the sweep adds a fixed replication gate, a
 // p95 latency filter and the dominance marking.
 
@@ -74,9 +75,10 @@ type SweepPoint struct {
 	// (or renders redundant) in the (PDR, NLT, p95 latency) objective
 	// space; the non-dominated remainder is the Pareto front.
 	Dominated bool
-	// LPIterations is the simplex pivots this bound solved beyond the
-	// class record (LPIterations − MILPReplayedPivots of its run): 0 for
-	// a bound fully answered by classes earlier bounds solved.
+	// LPIterations is the simplex pivots of the classes this bound
+	// reached first within the sweep: 0 for a bound whose whole chain an
+	// earlier bound walked. It counts the sweep's own chain, so it does
+	// not depend on what other runs on the engine solved before.
 	LPIterations int
 }
 
@@ -132,8 +134,14 @@ func ParetoSweep(ctx context.Context, pr *design.Problem, so SweepOptions) (*Swe
 		return nil, err
 	}
 	res := &SweepResult{Points: make([]SweepPoint, len(bounds)), Engine: o.eng.Stats().Sub(engStart)}
+	// Every bound walks a prefix of one class chain, and a run counts each
+	// class at the pivots its solve cost, replayed or not. So the pivots
+	// past the deepest earlier bound's are the ones this bound would have
+	// solved on a chain of the sweep's own.
+	reached := 0
 	for i, out := range outs {
-		lp := out.LPIterations - out.MILPReplayedPivots
+		lp := max(out.LPIterations-reached, 0)
+		reached = max(reached, out.LPIterations)
 		res.Points[i] = SweepPoint{PDRMin: bounds[i], Best: out.Best, LPIterations: lp}
 		res.LPIterations += lp
 	}

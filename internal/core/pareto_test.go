@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"hiopt/internal/design"
@@ -10,11 +11,12 @@ import (
 
 // TestParetoSweepMatchesFreshRuns is the acceptance property of the
 // ε-constraint driver: the sweep must select exactly the per-bound optima
-// that independent fresh Algorithm 1 runs select, while its class record
+// that independent fresh Algorithm 1 runs select — each on an engine of
+// its own, so on an empty class ledger — while the sweep's own class chain
 // keeps the pivots it solves at least 5× below theirs and adjacent bounds
-// share a majority of their evaluations. The fresh runs share the
-// sweep's engine, which doubles as the cache-sharing check: they must
-// re-simulate nothing.
+// share a majority of their evaluations. A second optimizer per bound on
+// the sweep's engine doubles as the sharing check: it must replay every
+// class, equal the fresh run and re-simulate nothing.
 func TestParetoSweepMatchesFreshRuns(t *testing.T) {
 	bounds := []float64{0.5, 0.56, 0.62, 0.68, 0.74, 0.8, 0.86, 0.92}
 	eng, err := engine.New(0)
@@ -39,10 +41,7 @@ func TestParetoSweepMatchesFreshRuns(t *testing.T) {
 	engStart := eng.Stats()
 	freshPivots := 0
 	for i, b := range bounds {
-		out, err := NewOptimizer(fastProblem(b), Options{Engine: eng}).Run()
-		if err != nil {
-			t.Fatal(err)
-		}
+		out := freshRun(t, fastProblem(b), Options{})
 		freshPivots += out.LPIterations
 		s, f := sweep.Points[i].Best, out.Best
 		switch {
@@ -55,6 +54,7 @@ func TestParetoSweepMatchesFreshRuns(t *testing.T) {
 			s.NLTDays != f.NLTDays || s.P95Latency != f.P95Latency:
 			t.Fatalf("bound %g: best differs sweep vs fresh: %+v vs %+v", b, *s, *f)
 		}
+		ledgerRun(t, fmt.Sprintf("bound %g", b), fastProblem(b), Options{Engine: eng}, out)
 	}
 
 	if sweep.LPIterations <= 0 {
@@ -69,8 +69,22 @@ func TestParetoSweepMatchesFreshRuns(t *testing.T) {
 	if f := sweep.Engine.FreshFrac(); f >= 0.5 {
 		t.Errorf("sweep fresh fraction = %.2f (%s), want a minority", f, sweep.Engine)
 	}
+	// A second sweep on the engine replays every class, yet reports the
+	// pivots of its own chain, not 0.
+	again, err := ParetoSweep(context.Background(), fastProblem(0.5), SweepOptions{
+		Bounds:  bounds,
+		Options: Options{Engine: eng},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range again.Points {
+		if p.LPIterations != sweep.Points[i].LPIterations {
+			t.Errorf("bound %g: a ledger-warm sweep reports %d pivots, the first %d", p.PDRMin, p.LPIterations, sweep.Points[i].LPIterations)
+		}
+	}
 	if d := eng.Stats().Sub(engStart); d.Simulated != 0 {
-		t.Errorf("fresh runs re-simulated %d evaluations despite the shared engine", d.Simulated)
+		t.Errorf("runs on the sweep's engine re-simulated %d evaluations", d.Simulated)
 	}
 }
 

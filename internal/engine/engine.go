@@ -14,11 +14,18 @@
 //     whole pool, and parallelism is capped by total replications, not by
 //     the number of points;
 //   - a lock-striped cache keyed by (point key, fidelity, scenario key):
-//     the key hash selects one of N shards, each owning its completed-map,
-//     its persisted-tier map, and its in-flight (singleflight) table
-//     behind a private mutex — concurrent cache-heavy batches contend on
-//     N locks instead of one. Concurrent requests for the same key still
-//     simulate once, and the waiters share the leader's result;
+//     the key hash selects one of N shards, each owning its CLOCK ring of
+//     completed results and its in-flight (singleflight) table behind a
+//     private mutex — concurrent cache-heavy batches contend on N locks
+//     instead of one. Concurrent requests for the same key still simulate
+//     once, and the waiters share the leader's result;
+//   - an optional byte budget (SetBudget) split across the shards: a
+//     shard past its share evicts completed results in CLOCK order.
+//     Eviction is result-neutral — every entry is a pure, seeded function
+//     of its key, so a later miss re-simulates the same bits — and
+//     in-flight entries are never evicted. A side table (Ledger,
+//     ledger.go) holds values search layers reuse across searches, such
+//     as core's Algorithm 1 class records, charged to the same budget;
 //   - a persistent tier underneath the shards: SaveCache/LoadCache
 //     snapshot completed results to a compact binary file (versioned
 //     header, per-entry checksum — see snapshot.go), and SpillTo streams
@@ -205,6 +212,11 @@ type Stats struct {
 	CacheHits int64
 	DedupHits int64
 	DiskHits  int64
+	// Evicted counts completed results the byte budget evicted (a later
+	// request for one simulates it again); LoadSkipped counts cache-file
+	// entries LoadCache left out because they did not fit the budget.
+	Evicted     int64 `json:"evicted"`
+	LoadSkipped int64 `json:"load_skipped"`
 	// FullSeconds and ScreenSeconds total the fresh simulated time per
 	// fidelity (Cfg.Duration × replications actually run).
 	FullSeconds   float64
@@ -241,6 +253,8 @@ func (s Stats) Sub(prev Stats) Stats {
 		CacheHits:     s.CacheHits - prev.CacheHits,
 		DedupHits:     s.DedupHits - prev.DedupHits,
 		DiskHits:      s.DiskHits - prev.DiskHits,
+		Evicted:       s.Evicted - prev.Evicted,
+		LoadSkipped:   s.LoadSkipped - prev.LoadSkipped,
 		FullSeconds:   s.FullSeconds - prev.FullSeconds,
 		ScreenSeconds: s.ScreenSeconds - prev.ScreenSeconds,
 		RepsSaved:     s.RepsSaved - prev.RepsSaved,
@@ -257,6 +271,9 @@ func (s Stats) String() string {
 	if s.RepsSaved > 0 {
 		msg += fmt.Sprintf(", %d reps saved (%.6g s)", s.RepsSaved, s.SavedSeconds)
 	}
+	if s.Evicted > 0 {
+		msg += fmt.Sprintf(", %d evicted", s.Evicted)
+	}
 	return msg
 }
 
@@ -271,6 +288,8 @@ type engineStats struct {
 	cacheHits atomic.Int64
 	dedupHits atomic.Int64
 	diskHits  atomic.Int64
+	evicted   atomic.Int64
+	skipped   atomic.Int64
 
 	mu            sync.Mutex
 	fullSeconds   float64
@@ -294,13 +313,15 @@ func (s *engineStats) snapshot() Stats {
 	out.CacheHits = s.cacheHits.Load()
 	out.DedupHits = s.dedupHits.Load()
 	out.DiskHits = s.diskHits.Load()
+	out.Evicted = s.evicted.Load()
+	out.LoadSkipped = s.skipped.Load()
 	return out
 }
 
 // entry is one in-flight cache slot. done is closed when the leader
 // finishes; res and err are valid only after that. Failed entries are
 // removed from the in-flight table before done closes, and successful
-// ones move to the shard's completed map.
+// ones move to the shard's ring.
 type entry struct {
 	done chan struct{}
 	res  *netsim.Result
@@ -314,20 +335,35 @@ type entry struct {
 // was unregistered).
 var errAborted = errors.New("evaluation aborted: batch failed")
 
-// shard is one lock stripe of the cache. Completed results live in done
-// as bare *netsim.Result (no entry boxing — the cache-hit fast path
-// returns them without allocating); disk holds results loaded from a
-// cache file that have not been requested yet (promotion to done on
-// first use is what makes DiskHits count each loaded entry exactly
-// once); inflight is the singleflight table. The padding keeps adjacent
-// shards on separate cache lines so striping actually removes
-// contention instead of moving it to false sharing.
+// shard is one lock stripe of the cache. Completed results live in the
+// CLOCK ring done as bare *netsim.Result (no entry boxing — the
+// cache-hit fast path returns them without allocating). A result loaded
+// from a cache file carries the ring's disk mark until its first use,
+// which clears it and is what makes DiskHits count each loaded entry
+// exactly once. inflight is the singleflight table; its entries live
+// outside the ring, so the budget never evicts work in progress. The
+// padding keeps adjacent shards on separate cache lines so striping
+// actually removes contention instead of moving it to false sharing.
 type shard struct {
 	mu       sync.Mutex
-	done     map[Key]*netsim.Result
-	disk     map[Key]*netsim.Result
+	done     clock[Key, *netsim.Result]
 	inflight map[Key]*entry
 	_        [32]byte
+}
+
+// hit returns k's completed result and marks it used, or nil. A loaded
+// result not used yet is reported through disk (and its mark cleared)
+// only when promote is set; otherwise it counts as absent, so a caller
+// that must not commit anything can fall back to the full path.
+// Callers hold sh.mu.
+func (sh *shard) hit(k Key, promote bool) (r *netsim.Result, disk bool) {
+	s := sh.done.get(k)
+	if s == nil || (s.disk && !promote) {
+		return nil, false
+	}
+	s.ref = true
+	disk, s.disk = s.disk, false
+	return s.val, disk
 }
 
 // DefaultShards is the shard count selected by New and by
@@ -360,6 +396,11 @@ type Engine struct {
 	// spill, when non-nil, receives every freshly simulated cacheable
 	// result for background append to a cache file (see spill.go).
 	spill atomic.Pointer[spillWriter]
+
+	// budget is the byte budget of the completed results and the
+	// ledger together (0 = unbounded); led is the ledger.
+	budget atomic.Int64
+	led    ledger
 }
 
 // New builds an engine with the given worker count and the default shard
@@ -397,10 +438,10 @@ func NewSharded(workers, shards int) (*Engine, error) {
 		mask:    uint64(shards - 1),
 	}
 	for i := range e.shards {
-		e.shards[i].done = make(map[Key]*netsim.Result)
-		e.shards[i].disk = make(map[Key]*netsim.Result)
+		e.shards[i].done = newClock[Key, *netsim.Result]()
 		e.shards[i].inflight = make(map[Key]*entry)
 	}
+	e.led.c = newClock[uint64, any]()
 	for i := 0; i < workers; i++ {
 		e.evals <- netsim.NewEvaluator()
 	}
@@ -418,6 +459,70 @@ func (e *Engine) shard(k Key) *shard { return &e.shards[k.hash()&e.mask] }
 // Stats returns a snapshot of the engine's cumulative counters.
 func (e *Engine) Stats() Stats { return e.stats.snapshot() }
 
+// SetBudget bounds the bytes the engine's completed results and ledger
+// values are charged together; 0 (the default) never evicts. Results get
+// an equal share per shard of whatever the ledger leaves of the budget,
+// and a shard past its share evicts in CLOCK order. A budget set on a
+// running engine takes effect at once. Negative budgets are rejected.
+func (e *Engine) SetBudget(bytes int64) error {
+	if bytes < 0 {
+		return fmt.Errorf("engine: budget must be >= 0 bytes (0 = unbounded), got %d", bytes)
+	}
+	e.budget.Store(bytes)
+	e.led.mu.Lock()
+	if bytes > 0 {
+		e.led.evicted += int64(e.led.c.evictTo(bytes / 2))
+		e.led.bytes.Store(e.led.c.bytes)
+	}
+	e.led.mu.Unlock()
+	e.trimShards()
+	return nil
+}
+
+// Budget reports the byte budget (0 = unbounded) and the bytes charged
+// against it now: the resident results of every shard plus the ledger.
+func (e *Engine) Budget() (budget, resident int64) {
+	resident = e.led.bytes.Load()
+	for i := range e.shards {
+		sh := &e.shards[i]
+		sh.mu.Lock()
+		resident += sh.done.bytes
+		sh.mu.Unlock()
+	}
+	return e.budget.Load(), resident
+}
+
+// shardLimit is each shard's share of the budget left after the ledger's
+// charge (noLimit on an unbounded engine).
+func (e *Engine) shardLimit() int64 {
+	b := e.budget.Load()
+	if b == 0 {
+		return noLimit
+	}
+	return max(0, b-e.led.bytes.Load()) / int64(len(e.shards))
+}
+
+// trimShards evicts every shard down to its current share of the budget,
+// after the budget shrank or the ledger grew.
+func (e *Engine) trimShards() {
+	limit := e.shardLimit()
+	for i := range e.shards {
+		sh := &e.shards[i]
+		sh.mu.Lock()
+		n := sh.done.evictTo(limit)
+		sh.mu.Unlock()
+		e.stats.evicted.Add(int64(n))
+	}
+}
+
+// store files a completed result in its shard, evicting older results
+// past the shard's share of the budget. Callers hold sh.mu.
+func (e *Engine) store(sh *shard, k Key, r *netsim.Result) {
+	if n := sh.done.put(k, r, resultBytes(r), false, e.shardLimit()); n > 0 {
+		e.stats.evicted.Add(int64(n))
+	}
+}
+
 // Cached reports whether a completed result for k is available without
 // simulating — in the in-memory cache or in the loaded persisted tier.
 func (e *Engine) Cached(k Key) bool {
@@ -427,20 +532,17 @@ func (e *Engine) Cached(k Key) bool {
 	sh := e.shard(k)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.done[k]; ok {
-		return true
-	}
-	_, ok := sh.disk[k]
-	return ok
+	return sh.done.get(k) != nil
 }
 
-// lookupDone returns the completed in-memory entry for k, or nil. It
-// never touches the persisted tier, so a nil return does not mean the
-// key must simulate — the batch resolution pass handles disk promotion.
+// lookupDone returns the completed in-memory entry for k, or nil. A
+// loaded entry not used yet counts as absent, so a nil return does not
+// mean the key must simulate — the batch resolution pass handles disk
+// promotion.
 func (e *Engine) lookupDone(k Key) *netsim.Result {
 	sh := e.shard(k)
 	sh.mu.Lock()
-	r := sh.done[k]
+	r, _ := sh.hit(k, false)
 	sh.mu.Unlock()
 	return r
 }
@@ -669,20 +771,14 @@ func (e *Engine) EvaluateBatchInto(ctx context.Context, results []*netsim.Result
 		if req.Key.Cacheable() {
 			sh := e.shard(req.Key)
 			sh.mu.Lock()
-			if r, ok := sh.done[req.Key]; ok {
+			if r, disk := sh.hit(req.Key, true); r != nil {
+				// A loaded entry's first use counts as a disk hit.
 				sh.mu.Unlock()
-				e.stats.cacheHits.Add(1)
-				b.results[i] = r
-				hits = append(hits, i)
-				continue
-			}
-			if r, ok := sh.disk[req.Key]; ok {
-				// First use of a loaded entry: promote it to the
-				// in-memory cache and count the disk hit.
-				delete(sh.disk, req.Key)
-				sh.done[req.Key] = r
-				sh.mu.Unlock()
-				e.stats.diskHits.Add(1)
+				if disk {
+					e.stats.diskHits.Add(1)
+				} else {
+					e.stats.cacheHits.Add(1)
+				}
 				b.results[i] = r
 				hits = append(hits, i)
 				continue
@@ -897,19 +993,14 @@ func (b *batch) waitTask(ev *netsim.Evaluator, t int, tk task) *netsim.Evaluator
 		req := tk.req
 		sh := e.shard(req.Key)
 		sh.mu.Lock()
-		if r, ok := sh.done[req.Key]; ok {
+		if r, disk := sh.hit(req.Key, true); r != nil {
 			sh.mu.Unlock()
-			b.finish(tk.idx, r)
-			return ev
-		}
-		if r, ok := sh.disk[req.Key]; ok {
-			delete(sh.disk, req.Key)
-			sh.done[req.Key] = r
-			sh.mu.Unlock()
-			// Reclassify: the request is answered by the persisted tier,
-			// not by a concurrent leader.
-			e.stats.dedupHits.Add(-1)
-			e.stats.diskHits.Add(1)
+			if disk {
+				// Reclassify: the request is answered by the persisted
+				// tier, not by a concurrent leader.
+				e.stats.dedupHits.Add(-1)
+				e.stats.diskHits.Add(1)
+			}
 			b.finish(tk.idx, r)
 			return ev
 		}
@@ -975,7 +1066,7 @@ func (b *batch) leadRetry(ev *netsim.Evaluator, t int, req *Request, en *entry, 
 	e.stats.mu.Unlock()
 	sh := e.shard(req.Key)
 	sh.mu.Lock()
-	sh.done[req.Key] = res
+	e.store(sh, req.Key, res)
 	delete(sh.inflight, req.Key)
 	sh.mu.Unlock()
 	en.res = res
@@ -1097,7 +1188,7 @@ func (b *batch) finalizeJob(j *job) {
 		if j.en != nil {
 			sh := e.shard(j.req.Key)
 			sh.mu.Lock()
-			sh.done[j.req.Key] = res
+			e.store(sh, j.req.Key, res)
 			delete(sh.inflight, j.req.Key)
 			sh.mu.Unlock()
 			j.en.res = res

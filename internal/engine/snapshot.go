@@ -245,7 +245,7 @@ func decodeResult(payload []byte) (*netsim.Result, bool) {
 	return res, true
 }
 
-// SaveCache snapshots every completed result (in-memory and still-unused
+// SaveCache snapshots every resident result (used or still-unused
 // loaded entries) to path, overwriting it, and returns the entry count.
 // Entries are written in sorted key order so identical caches produce
 // byte-identical files. sig must be the ContextSig of the evaluation
@@ -259,11 +259,10 @@ func (e *Engine) SaveCache(path string, sig uint64) (int, error) {
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.Lock()
-		for k, r := range sh.done {
-			all = append(all, kv{k, r})
-		}
-		for k, r := range sh.disk {
-			all = append(all, kv{k, r})
+		for _, s := range sh.done.slots {
+			if s.live {
+				all = append(all, kv{s.key, s.val})
+			}
 		}
 		sh.mu.Unlock()
 	}
@@ -310,7 +309,9 @@ func (e *Engine) SaveCache(path string, sig uint64) (int, error) {
 // context-signature mismatch load zero entries with a nil error; corrupt
 // entries are skipped individually; a truncated tail keeps everything
 // before it. Loaded entries answer requests as disk hits and do not
-// re-spill.
+// re-spill. On a bounded engine loaded entries are charged to the budget
+// and never evict anything: an entry that does not fit its shard's share
+// is left out and counted in Stats.LoadSkipped.
 func (e *Engine) LoadCache(path string, sig uint64) (int, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -326,16 +327,23 @@ func (e *Engine) LoadCache(path string, sig uint64) (int, error) {
 	scanSnapshot(data, func(k Key, r *netsim.Result) {
 		sh := e.shard(k)
 		sh.mu.Lock()
-		if _, ok := sh.done[k]; !ok {
-			// A key repeated in the file (appended twice to a spill, or
-			// written by two interleaved writers) counts once: the later
-			// entry replaces the earlier one.
-			if _, dup := sh.disk[k]; !dup {
-				loaded++
-			}
-			sh.disk[k] = r
+		defer sh.mu.Unlock()
+		s := sh.done.get(k)
+		if s != nil && !s.disk {
+			return // already computed or used: the resident result stands
 		}
-		sh.mu.Unlock()
+		// A key repeated in the file (appended twice to a spill, or
+		// written by two interleaved writers) counts once: the later
+		// entry replaces the earlier one.
+		bytes := resultBytes(r)
+		if s == nil && sh.done.bytes+bytes > e.shardLimit() {
+			e.stats.skipped.Add(1)
+			return
+		}
+		if s == nil {
+			loaded++
+		}
+		sh.done.put(k, r, bytes, true, noLimit)
 	})
 	return loaded, nil
 }

@@ -113,9 +113,9 @@ var paperBounds = []float64{0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1.0}
 // alg1 memoizes Algorithm 1 runs per reliability bound, so R1, R2, R3 and
 // PF share results the way one cmd/hibench invocation does. Every bound
 // runs on the suite's one optimizer, the way core.ParetoFront runs its
-// bounds: each Outcome equals a standalone run's, but the class record
-// solves each power class once and the suite engine answers every design
-// the sweep or an earlier bound already simulated.
+// bounds: each Outcome equals a standalone run's, but the suite engine's
+// class ledger solves each power class once and its cache answers every
+// design the sweep or an earlier bound already simulated.
 func (s *Suite) alg1(pdrMin float64) (*core.Outcome, error) {
 	if out, ok := s.alg1Cache[pdrMin]; ok {
 		return out, nil

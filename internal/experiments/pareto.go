@@ -11,8 +11,9 @@ import (
 
 // FR runs the ε-constraint front study: one core.ParetoSweep over the
 // reliability bounds (DefaultSweepBounds when empty), reporting each
-// bound's optimum with its latency profile, the pivots each bound solved
-// beyond the class record, and the non-dominated front. latMax > 0 adds
+// bound's optimum with its latency profile, the pivots of the classes
+// each bound reached first within the sweep (whatever the suite engine's
+// class ledger already held), and the non-dominated front. latMax > 0 adds
 // the p95 latency ε constraint; csvPath, when non-empty, receives the
 // front as CSV. The Suite.Adaptive flag gates replication spending to
 // the swept band. The sweep shares the suite engine, so the engine line

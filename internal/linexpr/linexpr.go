@@ -460,6 +460,73 @@ func (c *Compiled) Equal(d *Compiled) bool {
 	return true
 }
 
+// Hash is a 64-bit FNV-1a-style digest of exactly the fields Equal
+// compares, floats by their IEEE-754 bits and fed a word at a time:
+// Equal problems hash alike, so a cache of solver work can file it under
+// Hash and confirm a hit with Equal.
+func (c *Compiled) Hash() uint64 {
+	h := fnvHash(fnvOffset)
+	h.int(c.NumVars)
+	h.bool(c.Negated)
+	h.floats(c.Obj)
+	h.u64(math.Float64bits(c.ObjConst))
+	h.floats(c.Lo)
+	h.floats(c.Hi)
+	h.int(len(c.Integer))
+	for _, b := range c.Integer {
+		h.bool(b)
+	}
+	h.int(len(c.Names))
+	for _, n := range c.Names {
+		h.str(n)
+	}
+	h.int(len(c.Rows))
+	for _, r := range c.Rows {
+		h.str(r.Name)
+		h.int(int(r.Sense))
+		h.bool(r.Skip)
+		h.u64(math.Float64bits(r.RHS))
+		h.floats(r.Coefs)
+	}
+	return uint64(h)
+}
+
+// fnvHash is an FNV-1a state fed whole 64-bit words (string bytes one at
+// a time); variable-length fields are length-prefixed so adjacent fields
+// cannot trade contents.
+type fnvHash uint64
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func (h *fnvHash) u64(x uint64) { *h = (*h ^ fnvHash(x)) * fnvPrime }
+
+func (h *fnvHash) int(x int) { h.u64(uint64(x)) }
+
+func (h *fnvHash) bool(b bool) {
+	if b {
+		h.u64(1)
+	} else {
+		h.u64(0)
+	}
+}
+
+func (h *fnvHash) floats(xs []float64) {
+	h.int(len(xs))
+	for _, x := range xs {
+		h.u64(math.Float64bits(x))
+	}
+}
+
+func (h *fnvHash) str(s string) {
+	h.int(len(s))
+	for i := 0; i < len(s); i++ {
+		*h = (*h ^ fnvHash(s[i])) * fnvPrime
+	}
+}
+
 // bitsEqual reports whether two float slices hold the same bit patterns.
 func bitsEqual(a, b []float64) bool {
 	if len(a) != len(b) {

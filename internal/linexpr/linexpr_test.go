@@ -246,10 +246,10 @@ func TestAddRowAndClone(t *testing.T) {
 	}
 }
 
-// TestCompiledEqual: a clone is Equal to its source, and each kind of
-// difference a reused compilation could hide — a coefficient, a
-// right-hand side's sign of zero, a bound, a name, a row tag, an extra
-// row — makes it unequal.
+// TestCompiledEqual: a clone is Equal to its source and hashes alike, and
+// each kind of difference a reused compilation could hide — a
+// coefficient, a right-hand side's sign of zero, a bound, a name, a row
+// tag, an extra row — makes it unequal and moves its Hash.
 func TestCompiledEqual(t *testing.T) {
 	m := NewModel()
 	x := m.Binary("x")
@@ -259,8 +259,8 @@ func TestCompiledEqual(t *testing.T) {
 	m.Add("s", TermOf(y, 1), GE, 0)
 	m.Protect(1)
 	c := m.Compile()
-	if !c.Equal(c.Clone()) {
-		t.Fatal("clone not Equal to its source")
+	if !c.Equal(c.Clone()) || c.Hash() != c.Clone().Hash() {
+		t.Fatal("clone not Equal to its source, or hashed differently")
 	}
 	mutations := map[string]func(d *Compiled){
 		"coef":      func(d *Compiled) { d.Rows[0].Coefs[1] = math.Nextafter(1, 2) },
@@ -277,6 +277,9 @@ func TestCompiledEqual(t *testing.T) {
 		mut(d)
 		if c.Equal(d) || d.Equal(c) {
 			t.Errorf("%s: mutated clone still Equal", name)
+		}
+		if c.Hash() == d.Hash() {
+			t.Errorf("%s: mutated clone hashes like its source", name)
 		}
 	}
 }

@@ -646,11 +646,11 @@ func gammaSweepChain(b *testing.B, warm bool) (pivots, nodes int) {
 // core.ParetoFront per op — the path of hiopt.ParetoFront and the
 // perfbench front workload — on the paper problem at a 2 s horizon, one
 // run, bounds 0.50 → 0.82 in steps of 0.04, on a fresh engine so every op
-// simulates the same work. The optimizer's class record solves each power
-// class once and replays it at the other bounds: pivots/op counts the
-// pivots actually solved (LPIterations − MILPReplayedPivots over the
-// bounds), which must equal the deepest bound's chain, and
-// replayed_classes/op the oracle calls answered from the record.
+// simulates and solves the same work. The engine's class ledger solves
+// each power class once and replays it at the other bounds: pivots/op
+// counts the pivots actually solved (LPIterations − MILPReplayedPivots
+// over the bounds), which must equal the deepest bound's chain, and
+// replayed_classes/op the oracle calls answered from the ledger.
 func coreParetoFront(b *testing.B) {
 	bounds := make([]float64, 9)
 	for i := range bounds {

@@ -185,10 +185,7 @@ func DefaultConfig(locations []int, m MACKind, r RoutingKind, txMode int) Config
 // Validate checks the configuration for structural errors. It returns nil
 // when the configuration is simulatable.
 func (c *Config) Validate() error {
-	locs := c.BodyLocations
-	if locs == nil {
-		locs = body.Default()
-	}
+	locs := c.bodyLocations()
 	n := len(c.Locations)
 	if n < 2 {
 		return fmt.Errorf("netsim: need at least 2 nodes, have %d", n)
@@ -249,12 +246,16 @@ func (c *Config) Validate() error {
 	return nil
 }
 
+// defaultBody is body.Default(), built once. Nothing in the package
+// writes to it.
+var defaultBody = body.Default()
+
 // bodyLocations resolves the geometry, defaulting to the standard body.
 func (c *Config) bodyLocations() []body.Location {
 	if c.BodyLocations != nil {
 		return c.BodyLocations
 	}
-	return body.Default()
+	return defaultBody
 }
 
 // Label renders a short human-readable identifier such as

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"hiopt/internal/app"
 	"hiopt/internal/channel"
@@ -60,6 +61,25 @@ type node struct {
 	txCount    uint64
 	rxClean    uint64
 	rxCorrupt  uint64
+
+	// streams holds the node's named random streams by value, one per
+	// entry of streamNames (see RNG).
+	streams [len(streamNames)]rng.Stream
+}
+
+// streamNames are the stream names the protocol layers ask a node for.
+var streamNames = [...]string{"app/phase", "app/jitter", "mac/csma"}
+
+// nodeStreamKey hashes the stream name "node/<loc>/<name>". It formats
+// the name in a buffer on the stack, so deriving a stream allocates
+// nothing.
+func nodeStreamKey(loc int, name string) rng.Key {
+	var buf [32]byte
+	b := append(buf[:0], "node/"...)
+	b = strconv.AppendInt(b, int64(loc), 10)
+	b = append(b, '/')
+	b = append(b, name...)
+	return rng.KeyOf(string(b))
 }
 
 // Network is one simulation instance.
@@ -283,9 +303,17 @@ func (nd *node) After(delay float64, fn func()) stack.Canceler {
 
 // RNG derives streams by body location (not node index) so that two
 // configurations sharing a location reuse the same random sequences —
-// common random numbers across design candidates.
+// common random numbers across design candidates. The node owns one
+// stream per entry of streamNames and re-derives it in place, so asking
+// for a stream again restarts it. Any other name is a programming error.
 func (nd *node) RNG(name string) *rng.Stream {
-	return nd.net.src.Stream(fmt.Sprintf("node/%d/%s", nd.loc, name))
+	for i, n := range streamNames {
+		if n == name {
+			nd.streams[i].Reseed(nd.net.src, nodeStreamKey(nd.loc, name))
+			return &nd.streams[i]
+		}
+	}
+	panic("netsim: no node stream named " + name)
 }
 
 func (nd *node) CarrierBusy() bool {

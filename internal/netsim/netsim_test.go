@@ -1,11 +1,13 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"hiopt/internal/body"
 	"hiopt/internal/phys"
+	"hiopt/internal/rng"
 )
 
 // quietChannel returns channel parameters with fading and blockage
@@ -430,5 +432,21 @@ func TestKindStrings(t *testing.T) {
 	}
 	if Star.String() != "Star" || Mesh.String() != "Mesh" {
 		t.Error("RoutingKind strings")
+	}
+}
+
+// TestNodeStreamKey: a node's stream key is the hash of its formatted
+// name "node/<loc>/<name>", at any location, and deriving it allocates
+// nothing.
+func TestNodeStreamKey(t *testing.T) {
+	for _, loc := range []int{0, 9, 10, 123456789} {
+		for _, name := range streamNames {
+			if got, want := nodeStreamKey(loc, name), rng.KeyOf(fmt.Sprintf("node/%d/%s", loc, name)); got != want {
+				t.Fatalf("node/%d/%s: key %#x, want %#x", loc, name, got, want)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { nodeStreamKey(9, "app/jitter") }); n != 0 {
+		t.Fatalf("nodeStreamKey allocates %v times per call", n)
 	}
 }

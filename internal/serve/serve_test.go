@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"hiopt/internal/core"
+	"hiopt/internal/engine"
 )
 
 // fastBody returns a quick personalized request body: 2 s horizon, one
@@ -37,6 +38,24 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	ts := httptest.NewServer(s)
 	t.Cleanup(ts.Close)
 	return s, ts
+}
+
+// withBudget gives cfg an engine of cfg.Workers workers under a byte
+// budget of its own (0 keeps the server-owned engine's default budget).
+func withBudget(t *testing.T, cfg Config, bytes int64) Config {
+	t.Helper()
+	if bytes == 0 {
+		return cfg
+	}
+	eng, err := engine.New(cfg.Workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.SetBudget(bytes); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Engine = eng
+	return cfg
 }
 
 func post(t *testing.T, url, body string) (int, []byte) {
@@ -117,11 +136,46 @@ func TestProfileSaltNamespaces(t *testing.T) {
 	}
 }
 
+// evictingBytes is a cache budget that evicts on every request: each of
+// the 16 shards holds about one result, and no class-ledger record fits
+// in half of it, so every request solves its MILP chain afresh.
+const evictingBytes = 8 << 10
+
+// budgets runs f under the server's default cache budget (cacheBytes 0)
+// and under one that evicts on every request, and checks the latter evicted: eviction must
+// not move a single response byte.
+func budgets(t *testing.T, f func(t *testing.T, cacheBytes int64) *Server) {
+	t.Run("default", func(t *testing.T) { f(t, 0) })
+	t.Run("evicting", func(t *testing.T) {
+		s := f(t, evictingBytes)
+		if n := s.Engine().Stats().Evicted; n == 0 {
+			t.Fatal("the evicting budget evicted nothing")
+		}
+	})
+}
+
 // TestDeterministicUnderConcurrency is the tentpole acceptance test: 120
 // concurrent clients across four personalized tenants, every response
-// byte-identical to the others of its tenant regardless of interleaving.
+// byte-identical to the others of its tenant regardless of interleaving,
+// and the same under a cache budget that evicts on every request.
 func TestDeterministicUnderConcurrency(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 4, Capacity: 16, MaxQueue: 256})
+	var ref [][]byte
+	budgets(t, func(t *testing.T, cacheBytes int64) *Server {
+		s, bodies := deterministicUnderConcurrency(t, cacheBytes)
+		if ref == nil {
+			ref = bodies
+		}
+		for i := range ref {
+			if !bytes.Equal(ref[i], bodies[i]) {
+				t.Fatalf("profile %d: body differs across cache budgets:\n%s\nvs\n%s", i, ref[i], bodies[i])
+			}
+		}
+		return s
+	})
+}
+
+func deterministicUnderConcurrency(t *testing.T, cacheBytes int64) (*Server, [][]byte) {
+	s, ts := newTestServer(t, withBudget(t, Config{Workers: 4, Capacity: 16, MaxQueue: 256}, cacheBytes))
 	profiles := []string{
 		fastBody(""),
 		fastBody(`"body_scale": 1.15`),
@@ -178,13 +232,19 @@ func TestDeterministicUnderConcurrency(t *testing.T) {
 	if resp.Design == nil || resp.Design.PDR <= 0 {
 		t.Fatalf("nominal design missing: %s", ref[0])
 	}
+	return s, ref
 }
 
 // TestStreamingMatchesNonStreaming: the final "result" line of a
 // streamed request carries the same Response a plain request returns,
-// preceded by one iteration event per Algorithm 1 round.
+// preceded by one iteration event per Algorithm 1 round — also under a
+// cache budget that evicts on every request.
 func TestStreamingMatchesNonStreaming(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
+	budgets(t, streamingMatchesNonStreaming)
+}
+
+func streamingMatchesNonStreaming(t *testing.T, cacheBytes int64) *Server {
+	s, ts := newTestServer(t, withBudget(t, Config{Workers: 2}, cacheBytes))
 	status, plain := post(t, ts.URL, fastBody(""))
 	if status != http.StatusOK {
 		t.Fatalf("plain: %d: %s", status, plain)
@@ -248,6 +308,7 @@ func TestStreamingMatchesNonStreaming(t *testing.T) {
 	if !bytes.Equal(finalJSON, plainJSON) {
 		t.Fatalf("streamed result diverged:\n%s\nvs\n%s", finalJSON, plainJSON)
 	}
+	return s
 }
 
 // TestCancelMidStream: a client disconnecting mid-stream must stop the

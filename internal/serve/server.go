@@ -20,11 +20,18 @@ import (
 // the file itself carries a fixed service signature.
 const CacheSig = 0x68697365727665 // "hiserve"
 
+// DefaultCacheBytes is the byte budget of a server-owned engine: 2 MiB,
+// about 5.7k cached twenty-second results at ~365 B each, less what the
+// class ledger holds (DESIGN.md §16). A daemon mints first-time tenants
+// without end, so unlike a batch run its engine must evict.
+const DefaultCacheBytes = 2 << 20
+
 // Config sizes a Server.
 type Config struct {
 	// Engine, when non-nil, is the shared evaluation service (its cache
 	// is then shared with whatever else uses it — e.g. a warm cache
-	// file). When nil the server owns an engine with Workers workers.
+	// file; its byte budget is its owner's). When nil the server owns an
+	// engine with Workers workers and a DefaultCacheBytes budget.
 	Engine *engine.Engine
 	// Workers sizes the owned engine's worker pool (0 = GOMAXPROCS).
 	// Ignored when Engine is set.
@@ -47,7 +54,8 @@ type Config struct {
 //	POST /v1/design  — solve a personalized design problem (Profile in,
 //	                   Response out; NDJSON progress when Stream is set)
 //	GET  /healthz    — liveness
-//	GET  /statsz     — engine + admission + solve counters
+//	GET  /statsz     — engine, class-ledger, admission and solve
+//	                   counters
 //	                   (non-deterministic; kept off /v1/design so its
 //	                   body stays bit-stable)
 //
@@ -65,6 +73,9 @@ type Server struct {
 	// solves counts completed Algorithm 1 runs; alphaStopped those the
 	// α bound ended (DESIGN.md §6) rather than an exhausted MILP.
 	solves, alphaStopped atomic.Int64
+	// solvedClasses and replayedClasses split the completed runs' MILP
+	// oracle calls into fresh solves and class-ledger replays.
+	solvedClasses, replayedClasses atomic.Int64
 }
 
 // New builds a Server.
@@ -74,6 +85,9 @@ func New(cfg Config) (*Server, error) {
 		var err error
 		eng, err = engine.New(cfg.Workers)
 		if err != nil {
+			return nil, err
+		}
+		if err := eng.SetBudget(DefaultCacheBytes); err != nil {
 			return nil, err
 		}
 	}
@@ -156,10 +170,21 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	used, capacity, queued := s.adm.loadStats()
-	st := s.eng.Stats()
+	budget, resident := s.eng.Budget()
+	led := s.eng.LedgerStats()
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{
-		"engine": st,
+		"engine": struct {
+			engine.Stats
+			ResidentBytes int64 `json:"resident_bytes"`
+			BudgetBytes   int64 `json:"budget_bytes"`
+		}{s.eng.Stats(), resident, budget},
+		"ledger": map[string]int64{
+			"records":          int64(led.Records),
+			"solved_classes":   s.solvedClasses.Load(),
+			"replayed_classes": s.replayedClasses.Load(),
+			"evicted":          led.Evicted,
+		},
 		"admission": map[string]int{
 			"used": used, "capacity": capacity, "queued": queued,
 		},
@@ -273,6 +298,8 @@ func (s *Server) solve(ctx context.Context, p Profile, onIter func(core.Iteratio
 	if out.TerminatedByAlpha {
 		s.alphaStopped.Add(1)
 	}
+	s.solvedClasses.Add(int64(out.MILPClasses - out.MILPReplayedClasses))
+	s.replayedClasses.Add(int64(out.MILPReplayedClasses))
 	resp := &Response{
 		Status:      out.Status.String(),
 		Profile:     p,
