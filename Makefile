@@ -23,8 +23,12 @@ test:
 
 # perfbench is its own module; vet type-checks it without dropping a
 # perfbench/perfbench binary into the tree as `go build ./...` would.
+# The LP kernel's row elimination is amd64 assembly (asmdecl checks its
+# frame offsets); the arm64 vet builds and checks the pure-Go fallback
+# that every other GOARCH compiles.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./internal/lp/ ./internal/milp/
 	cd perfbench && $(GO) vet ./...
 
 fmt:

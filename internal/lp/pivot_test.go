@@ -22,7 +22,9 @@ import (
 // fullSolver is the warm Solver as it was before it dropped the basic
 // columns: the tableau holds all of B⁻¹[A I] over the N = n+m columns,
 // reduced costs are indexed by column, and the pivot is the full-row
-// Gauss–Jordan step. It exists only as a bit-for-bit reference.
+// Gauss–Jordan step. It exists only as a bit-for-bit reference. Its
+// row, reduced-cost and xB updates round each product, float64(f·x), as
+// the Solver's do, so no architecture fuses one side and not the other.
 type fullSolver struct {
 	p               *linexpr.Compiled
 	n, m            int
@@ -130,7 +132,7 @@ func (s *fullSolver) ingestRow(arenaRow int) {
 			continue
 		}
 		for j, v := range s.t[i] {
-			w[j] -= f * v
+			w[j] -= float64(f * v)
 		}
 		w[s.basis[i]] = 0
 	}
@@ -235,7 +237,7 @@ func (s *fullSolver) pivot(r, e int, bnd float64) {
 	ve := s.colVal(e)
 	for i := 0; i < s.m; i++ {
 		if f := s.t[i][e]; i != r && f != 0 {
-			s.xB[i] -= f * dv
+			s.xB[i] -= float64(f * dv)
 		}
 	}
 	l := s.basis[r]
@@ -253,14 +255,14 @@ func (s *fullSolver) pivot(r, e int, bnd float64) {
 	for i, row := range s.t {
 		if f := row[e]; i != r && f != 0 {
 			for j := range row {
-				row[j] -= f * pr[j]
+				row[j] -= float64(f * pr[j])
 			}
 			row[e] = 0
 		}
 	}
 	if f := s.z[e]; f != 0 {
 		for j := range s.z {
-			s.z[j] -= f * pr[j]
+			s.z[j] -= float64(f * pr[j])
 		}
 		s.z[e] = 0
 	}

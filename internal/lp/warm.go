@@ -456,7 +456,9 @@ func (s *Solver) rebuild() {
 // in the pivot row and 0 − f·inv in a row whose entry in e's column is f,
 // and its reduced cost is 0 − z_e·inv. Rows with f == 0 are skipped; a
 // slot whose pivot-row entry is zero still takes row[j] − f·(±0), which
-// can change only the sign of an exact zero (DESIGN.md §10).
+// can change only the sign of an exact zero (DESIGN.md §10). The row
+// pass is elimRows: one SSE2 call per pivot on amd64, elimRowsGo
+// elsewhere, with the same bits either way.
 func (s *Solver) pivot(r, e int, bnd float64) {
 	k := s.slot[e]
 	pr := s.t[r]
@@ -475,35 +477,50 @@ func (s *Solver) pivot(r, e int, bnd float64) {
 		pr[j] *= inv
 	}
 	pr[k] = inv
-	for i, row := range s.t {
-		if i == r {
-			continue
-		}
-		if f := row[k]; f != 0 {
-			s.xB[i] -= f * dv
-			row[k] = 0
-			subScaled(row, pr, f)
-		}
-	}
+	elimRows(s.t, s.xB, r, k, dv)
 	if f := s.z[k]; f != 0 {
 		s.z[k] = 0
 		subScaled(s.z, pr, f)
 	}
 }
 
+// elimRowsGo eliminates slot k from every tableau row but the pivot row
+// pr = t[r], which the caller has already scaled: a row whose entry f in
+// slot k is nonzero (NaN included) takes xB[i] −= f·dv, row[k] = 0 and
+// then row[j] −= f·pr[j] over every slot. Every row holds len(pr)
+// entries, and k < len(pr). It is the loop elimRows runs, in Go: the
+// routine on architectures without an assembly one, and the oracle the
+// assembly routine is tested against bit for bit (DESIGN.md §10).
+func elimRowsGo(t [][]float64, xB []float64, r, k int, dv float64) {
+	pr := t[r]
+	for i, row := range t {
+		if i == r {
+			continue
+		}
+		if f := row[k]; f != 0 {
+			xB[i] -= float64(f * dv)
+			row[k] = 0
+			subScaled(row, pr, f)
+		}
+	}
+}
+
 // subScaled sets y[j] −= f·x[j] for every j < len(y); len(x) ≥ len(y).
-// The loop is unrolled by four and free of bounds checks.
+// The loop is unrolled by four and free of bounds checks. The explicit
+// float64 conversion rounds each product, so no compiler may fuse the
+// update into an FMA: every architecture computes y − round(f·x), the
+// arithmetic of elimRows' assembly.
 func subScaled(y, x []float64, f float64) {
 	for len(y) >= 4 && len(x) >= 4 {
-		y[0] -= f * x[0]
-		y[1] -= f * x[1]
-		y[2] -= f * x[2]
-		y[3] -= f * x[3]
+		y[0] -= float64(f * x[0])
+		y[1] -= float64(f * x[1])
+		y[2] -= float64(f * x[2])
+		y[3] -= float64(f * x[3])
 		y, x = y[4:], x[4:]
 	}
 	x = x[:len(y)]
 	for j := range y {
-		y[j] -= f * x[j]
+		y[j] -= float64(f * x[j])
 	}
 }
 

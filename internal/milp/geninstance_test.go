@@ -49,10 +49,13 @@ func TestGenInstanceFixtureMatches(t *testing.T) {
 // AND at least 1.25× its per-iteration cost. Each kernel's time is the
 // minimum of five solves, and the two kernels alternate, so a burst of
 // load from other processes lands on both instead of on one kernel's
-// back-to-back block. The dense kernel's rows span only the nonbasic
-// columns; over 50 runs at GOMAXPROCS 2 the gaps read 2.1–4.4× (wall)
-// and 1.8–3.7× (per pivot), so 1.25× still leaves room for slow or
-// contended machines.
+// back-to-back block. With the dense kernel's rows over the nonbasic
+// columns only and its row pass in SSE2 (DESIGN.md §10), 50 runs at
+// GOMAXPROCS 2 on a shared 2-vCPU host read 1.10–2.14× (wall, median
+// 1.52×) and 0.92–1.79× (per pivot, median 1.27×), and 24 of the 50
+// failed the per-pivot floor: the crossover has moved to about this
+// size (ROADMAP item 2b). Before the SSE2 pass they read 2.1–4.4× and
+// 1.8–3.7×.
 func TestSparseKernelBudgetM40(t *testing.T) {
 	p := GenInstance(40, 1)
 	const budget = 5 * time.Second

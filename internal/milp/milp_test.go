@@ -1,7 +1,9 @@
 package milp
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -281,11 +283,13 @@ func TestCheckFeasibleDetectsViolations(t *testing.T) {
 	}
 }
 
-// exhaustiveBinaryOpt brute-forces a pure-binary problem for comparison.
-func exhaustiveBinaryOpt(c *linexpr.Compiled) (float64, bool) {
+// bruteForcePool enumerates every binary point of a pure-binary problem
+// and returns the minimum objective (+Inf when none is feasible) and the
+// sorted keys of the points within 1e-9 of it: the optimal pool as a set.
+func bruteForcePool(c *linexpr.Compiled) (float64, []string) {
 	n := c.NumVars
 	best := math.Inf(1)
-	found := false
+	var keys []string
 	x := make([]float64, n)
 	for mask := 0; mask < 1<<n; mask++ {
 		for i := 0; i < n; i++ {
@@ -298,12 +302,61 @@ func exhaustiveBinaryOpt(c *linexpr.Compiled) (float64, bool) {
 		for i := 0; i < n; i++ {
 			v += c.Obj[i] * x[i]
 		}
-		if v < best {
-			best = v
-			found = true
+		switch {
+		case v < best-1e-9:
+			best, keys = v, append(keys[:0], keyOf(x))
+		case v <= best+1e-9:
+			keys = append(keys, keyOf(x))
 		}
 	}
-	return best, found
+	sort.Strings(keys)
+	return best, keys
+}
+
+// intSource draws the integers of a random instance: an *rng.Stream for
+// the fixed-seed tests, fuzzInts for the fuzz target.
+type intSource interface{ Intn(n int) int }
+
+// fuzzInts reads a fuzz input as a sequence of draws, one byte each;
+// once the bytes run out every draw is 0.
+type fuzzInts []byte
+
+func (b *fuzzInts) Intn(n int) int {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := int((*b)[0]) % n
+	*b = (*b)[1:]
+	return v
+}
+
+// randomBinaryModel draws a pure-binary minimization of 3–8 variables
+// (brute force visits at most 256 points) and 1–4 LE/GE rows, with row
+// coefficients in [−5, 5], right-hand sides in [−4, 4] and costs in
+// [−10, 10]. The model is returned uncompiled, so a caller can protect a
+// row first.
+func randomBinaryModel(g intSource) *linexpr.Model {
+	n := 3 + g.Intn(6)
+	rows := 1 + g.Intn(4)
+	m := linexpr.NewModel()
+	ids := make([]linexpr.VarID, n)
+	for i := range ids {
+		ids[i] = m.Binary("")
+	}
+	for r := 0; r < rows; r++ {
+		e := linexpr.Expr{}
+		for _, id := range ids {
+			e = e.PlusTerm(id, float64(g.Intn(11)-5))
+		}
+		sense := []linexpr.Sense{linexpr.LE, linexpr.GE}[g.Intn(2)]
+		m.Add("", e, sense, float64(g.Intn(9)-4))
+	}
+	obj := linexpr.Expr{}
+	for _, id := range ids {
+		obj = obj.PlusTerm(id, float64(g.Intn(21)-10))
+	}
+	m.SetObjective(obj, false)
+	return m
 }
 
 // TestRandomBinaryProblemsMatchBruteForce is the core correctness property:
@@ -312,34 +365,13 @@ func exhaustiveBinaryOpt(c *linexpr.Compiled) (float64, bool) {
 func TestRandomBinaryProblemsMatchBruteForce(t *testing.T) {
 	g := rng.NewSource(555).Stream("milp")
 	for trial := 0; trial < 80; trial++ {
-		n := 3 + g.Intn(6) // up to 8 binaries → brute force 256 points
-		rows := 1 + g.Intn(4)
-		m := linexpr.NewModel()
-		ids := make([]linexpr.VarID, n)
-		for i := range ids {
-			ids[i] = m.Binary("")
-		}
-		for r := 0; r < rows; r++ {
-			e := linexpr.Expr{}
-			for _, id := range ids {
-				e = e.PlusTerm(id, float64(g.Intn(11)-5))
-			}
-			sense := []linexpr.Sense{linexpr.LE, linexpr.GE}[g.Intn(2)]
-			m.Add("", e, sense, float64(g.Intn(9)-4))
-		}
-		obj := linexpr.Expr{}
-		for _, id := range ids {
-			obj = obj.PlusTerm(id, float64(g.Intn(21)-10))
-		}
-		m.SetObjective(obj, false)
-
-		c := m.Compile()
+		c := randomBinaryModel(g).Compile()
 		s, err := Solve(c, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		want, feasible := exhaustiveBinaryOpt(c)
-		if !feasible {
+		want, optima := bruteForcePool(c)
+		if len(optima) == 0 {
 			if s.Status != Infeasible {
 				t.Fatalf("trial %d: solver says %v but brute force finds no point", trial, s.Status)
 			}
@@ -355,6 +387,80 @@ func TestRandomBinaryProblemsMatchBruteForce(t *testing.T) {
 			t.Fatalf("trial %d: returned point infeasible: %v", trial, err)
 		}
 	}
+}
+
+// checkPool requires a complete pool call to return exactly the
+// brute-force optimal pool: the same status, the same optimum and the
+// same point set, each point once.
+func checkPool(pool []PoolSolution, agg *Solution, best float64, want []string) error {
+	if len(want) == 0 {
+		if agg.Status != Infeasible || len(pool) != 0 {
+			return fmt.Errorf("status %v with %d members, brute force finds no point", agg.Status, len(pool))
+		}
+		return nil
+	}
+	if agg.Status != Optimal {
+		return fmt.Errorf("status %v, brute force optimum %v", agg.Status, best)
+	}
+	if math.Abs(agg.Objective-best) > 1e-6 {
+		return fmt.Errorf("objective %v, brute force %v", agg.Objective, best)
+	}
+	got := make([]string, len(pool))
+	for i, ps := range pool {
+		got[i] = keyOf(ps.X)
+	}
+	sort.Strings(got)
+	if !slices.Equal(got, want) {
+		return fmt.Errorf("pool %v, brute force %v", got, want)
+	}
+	return nil
+}
+
+// FuzzRandomBinaryMILP is the differential target for the warm MILP
+// stack. The input bytes draw a random binary MILP (randomBinaryModel)
+// and a second right-hand side for its first row, which is protected so
+// presolve leaves it alone. On each LP kernel, with the sequential
+// enumerator and with box-partitioned dives, a State (which presolves
+// the arena) runs a complete SolvePool, then retargets the row with
+// SetRowRHS and runs another on the same warm state. Each pool must equal
+// the brute-force optimal pool as a set. Seeds are in
+// testdata/fuzz/FuzzRandomBinaryMILP; run
+//
+//	go test -run=NONE -fuzz=FuzzRandomBinaryMILP -fuzztime=30s ./internal/milp
+//
+// to search beyond them.
+func FuzzRandomBinaryMILP(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := fuzzInts(data)
+		m := randomBinaryModel(&g)
+		m.Protect(0)
+		c := m.Compile()
+		retarget := c.Clone()
+		retarget.Rows[0].RHS = float64(g.Intn(9) - 4)
+		best, want := bruteForcePool(c)
+		best2, want2 := bruteForcePool(retarget)
+		for _, opt := range []Options{{DenseLP: true}, {SparseLP: true}, {DenseLP: true, Workers: 1}, {SparseLP: true, Workers: 2}} {
+			st := NewState(c.Clone(), opt)
+			if st.Legacy() {
+				t.Fatalf("%+v: state fell back to the clone path", opt)
+			}
+			pool, agg, err := st.SolvePool(0, 1e-6)
+			if err == nil {
+				err = checkPool(pool, agg, best, want)
+			}
+			if err != nil {
+				t.Fatalf("%+v: %v", opt, err)
+			}
+			st.SetRowRHS(0, retarget.Rows[0].RHS)
+			pool, agg, err = st.SolvePool(0, 1e-6)
+			if err == nil {
+				err = checkPool(pool, agg, best2, want2)
+			}
+			if err != nil {
+				t.Fatalf("%+v, row 0 retargeted to %g: %v", opt, retarget.Rows[0].RHS, err)
+			}
+		}
+	})
 }
 
 // TestRandomPoolCompleteness checks pool enumeration against brute force on
@@ -381,41 +487,9 @@ func TestRandomPoolCompleteness(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if agg.Status != Optimal {
-			t.Fatalf("trial %d: status %v", trial, agg.Status)
-		}
-		// Brute force all optimal points.
-		best, _ := exhaustiveBinaryOpt(c)
-		var wantKeys []string
-		x := make([]float64, n)
-		for mask := 0; mask < 1<<n; mask++ {
-			for i := 0; i < n; i++ {
-				x[i] = float64((mask >> i) & 1)
-			}
-			if CheckFeasible(c, x, 1e-9) != nil {
-				continue
-			}
-			v := c.ObjConst
-			for i := 0; i < n; i++ {
-				v += c.Obj[i] * x[i]
-			}
-			if math.Abs(v-best) < 1e-9 {
-				wantKeys = append(wantKeys, keyOf(x))
-			}
-		}
-		var gotKeys []string
-		for _, ps := range pool {
-			gotKeys = append(gotKeys, keyOf(ps.X))
-		}
-		sort.Strings(wantKeys)
-		sort.Strings(gotKeys)
-		if len(wantKeys) != len(gotKeys) {
-			t.Fatalf("trial %d: pool has %d members, brute force %d", trial, len(gotKeys), len(wantKeys))
-		}
-		for i := range wantKeys {
-			if wantKeys[i] != gotKeys[i] {
-				t.Fatalf("trial %d: pool mismatch\n got %v\nwant %v", trial, gotKeys, wantKeys)
-			}
+		best, want := bruteForcePool(c)
+		if err := checkPool(pool, agg, best, want); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
 }
