@@ -4,9 +4,11 @@ import (
 	"math"
 	"os"
 	"reflect"
+	"runtime/debug"
 	"testing"
 	"time"
 
+	"hiopt/internal/linexpr"
 	"hiopt/internal/lp"
 )
 
@@ -42,57 +44,42 @@ func TestGenInstanceFixtureMatches(t *testing.T) {
 	}
 }
 
-// TestSparseKernelBudgetM40 is the scaling claim: on the M=40 fixture
-// the sparse kernel solves well inside the test budget, and it is the
-// cheaper kernel there — the dense tableau kernel, same branching, same
-// warm-start ladder, takes at least 1.25× the sparse kernel's wall time
-// AND at least 1.25× its per-iteration cost. Each kernel's time is the
-// minimum of five solves, and the two kernels alternate, so a burst of
-// load from other processes lands on both instead of on one kernel's
-// back-to-back block. With the dense kernel's rows over the nonbasic
-// columns only and its row pass in SSE2 (DESIGN.md §10), 50 runs at
-// GOMAXPROCS 2 on a shared 2-vCPU host read 1.10–2.14× (wall, median
-// 1.52×) and 0.92–1.79× (per pivot, median 1.27×), and 24 of the 50
-// failed the per-pivot floor: the crossover has moved to about this
-// size (ROADMAP item 2b). Before the SSE2 pass they read 2.1–4.4× and
-// 1.8–3.7×.
+// TestSparseKernelBudgetM40: on the M=40 fixture the sparse kernel
+// solves well inside the test budget, agrees with the dense tableau
+// kernel (same branching, same warm-start ladder) on the optimum, and
+// refactorizes its LU along the way. The claim that it is also the
+// cheaper kernel is TestSparseKernelCheaperM80's: with the dense row
+// pass in SSE2 (DESIGN.md §10) the two kernels are close per pivot at
+// this size.
 func TestSparseKernelBudgetM40(t *testing.T) {
-	p := GenInstance(40, 1)
-	const budget = 5 * time.Second
-	const ratio = 1.25
-	const solves = 5
-
-	// solve runs one fresh solve and keeps its aggregate and the fastest
-	// wall time seen so far.
-	solve := func(opt Options, agg **Solution, best *time.Duration) {
-		t0 := time.Now()
-		a, err := NewState(p.Clone(), opt).Solve()
-		wall := time.Since(t0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !opt.DenseLP && wall > budget {
-			t.Fatalf("sparse kernel blew the %v budget: %v", budget, wall)
-		}
-		*agg, *best = a, min(*best, wall)
-	}
-	var aggS, aggD *Solution
-	sparseWall := time.Duration(math.MaxInt64)
-	denseWall := sparseWall
-	for k := 0; k < solves; k++ {
-		solve(Options{DenseLP: true}, &aggD, &denseWall)
-		solve(Options{}, &aggS, &sparseWall)
-	}
-
-	if aggS.Status != Optimal || aggD.Status != Optimal {
-		t.Fatalf("status sparse %v dense %v", aggS.Status, aggD.Status)
-	}
-	if math.Abs(aggS.Objective-aggD.Objective) > 1e-9*(1+math.Abs(aggD.Objective)) {
-		t.Fatalf("kernels disagree: sparse %.12g dense %.12g", aggS.Objective, aggD.Objective)
-	}
+	aggS, aggD, _, _ := timeKernels(t, GenInstance(40, 1), 5*time.Second)
 	if aggS.Refactorizations == 0 {
 		t.Fatal("sparse kernel reported zero refactorizations on a ~1000-iteration solve")
 	}
+	t.Logf("sparse %d iters, dense %d iters", aggS.LPIterations, aggD.LPIterations)
+}
+
+// TestSparseKernelCheaperM80 is the scaling claim: on GenInstance(80, 1)
+// (~2100 rows+vars, twice the M=40 fixture) the dense tableau kernel
+// takes at least 1.25× the sparse kernel's wall time AND at least 1.25×
+// its per-iteration cost, each kernel timed as the fastest of five
+// alternating solves. Fifty runs at GOMAXPROCS 2 on a shared 2-vCPU
+// host all passed, reading dense/sparse 1.72–2.60× wall (median 2.15×)
+// and 1.84–2.79× per pivot (median 2.30×): dense 423–620 ms per solve
+// against sparse 182–290 ms. At M=40 the same ratios read 1.10–2.14×
+// and 0.92–1.79×, and 24 of 50 runs failed the per-pivot floor there.
+//
+// The race detector instruments the sparse kernel's Go code, but not
+// the dense kernel's assembly row pass: under -race the sparse kernel
+// runs ~20× slower and the dense one ~2×, and dense/sparse reads about
+// 0.4× at M=40, 96 and 112 alike. A race build therefore times the
+// instrumentation, not the kernels, and the test skips there.
+func TestSparseKernelCheaperM80(t *testing.T) {
+	if raceBuild() {
+		t.Skip("kernel timings under -race compare race instrumentation, not kernels")
+	}
+	const ratio = 1.25
+	aggS, aggD, sparseWall, denseWall := timeKernels(t, GenInstance(80, 1), 5*time.Second)
 	if denseWall.Seconds() < ratio*sparseWall.Seconds() {
 		t.Fatalf("dense kernel not budget-bound: dense %v < %.2fx sparse %v", denseWall, ratio, sparseWall)
 	}
@@ -101,6 +88,53 @@ func TestSparseKernelBudgetM40(t *testing.T) {
 	if perD < ratio*perS {
 		t.Fatalf("per-iteration cost: dense %.3gs < %.2fx sparse %.3gs", perD, ratio, perS)
 	}
-	t.Logf("sparse %v (%d iters), dense %v (%d iters), wall ratio %.1fx, per-iter ratio %.1fx",
+	t.Logf("sparse %v (%d iters), dense %v (%d iters), wall ratio %.2fx, per-iter ratio %.2fx",
 		sparseWall, aggS.LPIterations, denseWall, aggD.LPIterations, denseWall.Seconds()/sparseWall.Seconds(), perD/perS)
+}
+
+// timeKernels solves p five times on each kernel, alternating, and
+// returns each kernel's last aggregate and fastest wall time. A burst of
+// load from other processes then lands on both kernels instead of on one
+// kernel's back-to-back block. Every sparse solve must finish inside
+// budget, both must reach the optimum, and their objectives must agree
+// to 1e-9.
+func timeKernels(t *testing.T, p *linexpr.Compiled, budget time.Duration) (aggS, aggD *Solution, sparseWall, denseWall time.Duration) {
+	t.Helper()
+	solve := func(opt Options, agg **Solution, best *time.Duration) {
+		t0 := time.Now()
+		a, err := NewState(p.Clone(), opt).Solve()
+		wall := time.Since(t0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opt.SparseLP && wall > budget {
+			t.Fatalf("sparse kernel blew the %v budget: %v", budget, wall)
+		}
+		*agg, *best = a, min(*best, wall)
+	}
+	sparseWall = time.Duration(math.MaxInt64)
+	denseWall = sparseWall
+	for k := 0; k < 5; k++ {
+		solve(Options{DenseLP: true}, &aggD, &denseWall)
+		solve(Options{SparseLP: true}, &aggS, &sparseWall)
+	}
+	if aggS.Status != Optimal || aggD.Status != Optimal {
+		t.Fatalf("status sparse %v dense %v", aggS.Status, aggD.Status)
+	}
+	if math.Abs(aggS.Objective-aggD.Objective) > 1e-9*(1+math.Abs(aggD.Objective)) {
+		t.Fatalf("kernels disagree: sparse %.12g dense %.12g", aggS.Objective, aggD.Objective)
+	}
+	return aggS, aggD, sparseWall, denseWall
+}
+
+// raceBuild reports whether the test binary was built with -race.
+func raceBuild() bool {
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			if s.Key == "-race" {
+				return s.Value == "true"
+			}
+		}
+	}
+	return false
 }

@@ -127,13 +127,12 @@ type wnode struct {
 // kernel choice switches from the dense tableau to the sparse revised
 // simplex. Below it the dense solver's cache-resident rows × vars pivot
 // update wins (the paper instance sits at ~116); above it the sparse
-// kernel's nonzeros-proportional pivots win. At the M=40 generator
-// instance's ~1050, with the dense row pass in SSE2, the sparse kernel
-// is 0.92–1.79× (median 1.27×) cheaper per pivot and 1.10–2.14× (median
-// 1.52×) faster per solve, so the crossover now lies near that size; it
-// has not been measured closer. The value is not moved to follow it: a
-// different kernel choice changes pivot paths, and with them pinned P̄*
-// bits.
+// kernel's nonzeros-proportional pivots win. With the dense row pass in
+// SSE2, the sparse kernel is 0.92–1.79× (median 1.27×) cheaper per pivot
+// at the M=40 generator instance's ~1050 and clearly cheaper at M=80's
+// ~2100 (TestSparseKernelCheaperM80), so the measured crossover now lies
+// near 1050, not 400. The value is not moved to follow it: a different
+// kernel choice changes pivot paths, and with them pinned P̄* bits.
 const sparseKernelThreshold = 400
 
 // newKernel builds the warm-start LP core the options request: the
