@@ -88,8 +88,9 @@ func main() {
 	fmt.Printf("status:       %s\n", out.Status)
 	fmt.Printf("iterations:   %d\n", len(out.Iterations))
 	fmt.Printf("evaluations:  %d configurations (%d simulator runs)\n", out.Evaluations, out.Simulations)
-	fmt.Printf("MILP effort:  %d B&B nodes, %d LP pivots (%d warm re-solves, %d cold rebuilds, %d refactorizations)\n",
-		out.MILPNodes, out.LPIterations, out.MILPWarmSolves, out.MILPColdSolves, out.MILPRefactorizations)
+	fmt.Printf("MILP effort:  %d B&B nodes, %d LP pivots, %d on sparse kernels (%d warm re-solves, %d cold rebuilds, %d refactorizations); %d classes replayed (%d pivots)\n",
+		out.MILPNodes, out.LPIterations, out.MILPSparsePivots, out.MILPWarmSolves, out.MILPColdSolves, out.MILPRefactorizations,
+		out.MILPReplayedClasses, out.MILPReplayedPivots)
 	fmt.Printf("presolve:     %d vars fixed, %d rows dropped, %d coefs tightened; %d parallel dives\n",
 		out.PresolveFixedVars, out.PresolveDroppedRows, out.PresolveTightenedCoefs, out.MILPParallelDives)
 	if out.MILPStaleRedos > 0 || out.MILPDiscardedPivots > 0 || out.MILPIterationCaps > 0 {

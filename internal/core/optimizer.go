@@ -119,12 +119,14 @@ type Outcome struct {
 	MILPWarmSolves int
 	MILPColdSolves int
 	// MILPRefactorizations counts sparse-basis LU rebuilds inside the
-	// warm kernel (0 on the dense kernel). PresolveFixedVars,
+	// warm kernel (0 on the dense kernel), and MILPSparsePivots the part
+	// of LPIterations taken on sparse kernels. PresolveFixedVars,
 	// PresolveDroppedRows and PresolveTightenedCoefs report the one-time
 	// presolve reductions applied when the warm state was built.
 	// MILPParallelDives counts the disjoint subtree dives fanned across
 	// workers by pool enumeration (0 unless MILPWorkers >= 1).
 	MILPRefactorizations   int
+	MILPSparsePivots       int
 	PresolveFixedVars      int
 	PresolveDroppedRows    int
 	PresolveTightenedCoefs int
@@ -642,6 +644,7 @@ func (out *Outcome) addSolve(agg *milp.Solution) {
 	out.MILPWarmSolves += agg.WarmSolves
 	out.MILPColdSolves += agg.ColdSolves
 	out.MILPRefactorizations += agg.Refactorizations
+	out.MILPSparsePivots += agg.SparsePivots
 	out.MILPParallelDives += agg.ParallelDives
 	out.MILPStaleRedos += agg.StaleRedos
 	out.MILPDiscardedPivots += agg.DiscardedPivots

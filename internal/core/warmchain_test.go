@@ -312,6 +312,15 @@ func TestPaperChainKernelModes(t *testing.T) {
 				if len(pool) != wantPool[iter] {
 					t.Fatalf("iter %d: %d pool members, pinned %d", iter, len(pool), wantPool[iter])
 				}
+				// The paper arena is below the automatic switch, so only a
+				// forced sparse kernel takes sparse pivots, and then all.
+				want := 0
+				if mode.opt.SparseLP {
+					want = agg.LPIterations
+				}
+				if agg.SparsePivots != want {
+					t.Fatalf("iter %d: %d of %d pivots on sparse kernels, want %d", iter, agg.SparsePivots, agg.LPIterations, want)
+				}
 				for i, ps := range pool {
 					if err := milp.CheckFeasible(work, ps.X, 1e-6); err != nil {
 						t.Fatalf("iter %d member %d: %v", iter, i, err)

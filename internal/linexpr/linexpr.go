@@ -149,7 +149,7 @@ func (e Expr) normalize() Expr {
 func (e Expr) Eval(x []float64) float64 {
 	v := e.Const
 	for _, t := range e.Terms {
-		v += t.Coef * x[t.Var]
+		v += float64(t.Coef * x[t.Var])
 	}
 	return v
 }
@@ -379,7 +379,7 @@ func (m *Model) Compile() *Compiled {
 		sign = -1
 	}
 	for _, t := range m.obj.Terms {
-		c.Obj[t.Var] += sign * t.Coef
+		c.Obj[t.Var] += float64(sign * t.Coef)
 	}
 	c.ObjConst = sign * m.obj.Const
 	for _, con := range m.cons {

@@ -172,7 +172,7 @@ func ProtectionValue(gamma float64, devs []RobustTerm, x []float64) float64 {
 			total += v
 			budget--
 		} else {
-			total += budget * v
+			total += float64(budget * v)
 			budget = 0
 		}
 	}

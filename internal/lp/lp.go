@@ -131,10 +131,10 @@ func solveWith(p *linexpr.Compiled, pivot func(t *tableau, r, c int)) (*Solution
 			switch m.mode {
 			case 0: // x = lo + x'
 				coefs[m.col] += a
-				rhs -= a * m.lo
+				rhs -= float64(a * m.lo)
 			case 1: // x = hi - x'
 				coefs[m.col] -= a
-				rhs -= a * m.hi
+				rhs -= float64(a * m.hi)
 			case 2: // x = x⁺ - x⁻
 				coefs[m.col] += a
 				coefs[m.neg] -= a
@@ -164,10 +164,10 @@ func solveWith(p *linexpr.Compiled, pivot func(t *tableau, r, c int)) (*Solution
 		switch m.mode {
 		case 0:
 			obj[m.col] += c
-			objConst += c * m.lo
+			objConst += float64(c * m.lo)
 		case 1:
 			obj[m.col] -= c
-			objConst += c * m.hi
+			objConst += float64(c * m.hi)
 		case 2:
 			obj[m.col] += c
 			obj[m.neg] -= c
@@ -317,7 +317,7 @@ func solveWith(p *linexpr.Compiled, pivot func(t *tableau, r, c int)) (*Solution
 	}
 	z := objConst
 	for j := 0; j < ncols; j++ {
-		z += obj[j] * xs[j]
+		z += float64(obj[j] * xs[j])
 	}
 	if p.Negated {
 		z = -z
@@ -396,7 +396,7 @@ func (t *tableau) setObjective(c []float64, basis []int) {
 			continue
 		}
 		for j := 0; j <= t.n; j++ {
-			t.z[j] -= cb * t.a[i][j]
+			t.z[j] -= float64(cb * t.a[i][j])
 		}
 	}
 	t.zv = -t.z[t.n]
@@ -430,17 +430,17 @@ func (t *tableau) pivot(r, c int) {
 		}
 		row := t.a[i]
 		for _, j := range nz {
-			row[j] -= f * pr[j]
+			row[j] -= float64(f * pr[j])
 		}
 		row[c] = 0
 	}
 	f := t.z[c]
 	if f != 0 {
 		for _, j := range nz {
-			t.z[j] -= f * pr[j]
+			t.z[j] -= float64(f * pr[j])
 		}
 		t.z[c] = 0
-		t.zv += f * pr[t.n]
+		t.zv += float64(f * pr[t.n])
 	}
 }
 

@@ -77,7 +77,7 @@ func (s *fullSolver) SetVarBounds(j int, lo, hi float64) {
 		}
 		if d := s.colVal(j) - old; d != 0 {
 			for i := 0; i < s.m; i++ {
-				s.xB[i] -= s.t[i][j] * d
+				s.xB[i] -= float64(s.t[i][j] * d)
 			}
 		}
 		return
@@ -94,7 +94,7 @@ func (s *fullSolver) SetRowRHS(arenaRow int, rhs float64) {
 		return
 	}
 	for i := 0; i < s.m; i++ {
-		s.xB[i] += s.t[i][s.n+r] * d
+		s.xB[i] += float64(s.t[i][s.n+r] * d)
 	}
 }
 
@@ -140,7 +140,7 @@ func (s *fullSolver) ingestRow(arenaRow int) {
 	v := row.RHS
 	for j := 0; j < s.n; j++ {
 		if c := row.Coefs[j]; c != 0 {
-			v -= c * s.colVal(j)
+			v -= float64(c * s.colVal(j))
 		}
 	}
 	s.t = append(s.t, w)
@@ -223,7 +223,7 @@ func (s *fullSolver) rebuild() {
 		v := s.rhs[i]
 		for j, c := range s.p.Rows[s.arenaIdx[i]].Coefs {
 			if c != 0 {
-				v -= c * s.colVal(j)
+				v -= float64(c * s.colVal(j))
 			}
 		}
 		s.xB = append(s.xB, v)
@@ -411,7 +411,7 @@ func (s *fullSolver) valid(x []float64) bool {
 		act := 0.0
 		for j, c := range s.p.Rows[s.arenaIdx[r]].Coefs {
 			if c != 0 {
-				act += c * x[j]
+				act += float64(c * x[j])
 			}
 		}
 		if math.Abs(act+s.colVal(s.n+r)-s.rhs[r]) > 1e-6*(1+math.Abs(s.rhs[r])) {
@@ -427,7 +427,7 @@ func (s *fullSolver) extract() *Solution {
 	for j := range x {
 		x[j] = s.colVal(j)
 		if c := s.p.Obj[j]; c != 0 {
-			z += c * x[j]
+			z += float64(c * x[j])
 		}
 	}
 	if s.p.Negated {
@@ -449,10 +449,12 @@ func (s *fullSolver) snapshot() *fullSolver {
 }
 
 // matchFull checks the production solver against a full-width state: the
-// slot and column maps must be consistent, and the tableau expanded back
-// to full width (implicit unit columns and zero reduced costs for the
-// basic columns) must equal the reference bit for bit wherever either
-// side is nonzero.
+// slot and column maps must be consistent, the nonbasic list must hold
+// the slotted columns in ascending order, the row bounds must be those
+// of each row's basic column, and the tableau expanded back to full
+// width (implicit unit columns and zero reduced costs for the basic
+// columns) must equal the reference bit for bit wherever either side is
+// nonzero.
 func matchFull(s *Solver, want *fullSolver) error {
 	N := s.n + s.m
 	if s.m != want.m || len(s.t) != s.m || len(s.col) != s.n || len(s.pos) != N || len(s.slot) != N {
@@ -465,6 +467,23 @@ func matchFull(s *Solver, want *fullSolver) error {
 	}
 	if !slices.Equal(s.basis, want.basis) || !slices.Equal(s.pos, want.pos) || !slices.Equal(s.atUpper, want.atUpper) {
 		return fmt.Errorf("basis %v vs %v", s.basis, want.basis)
+	}
+	var nonbasic []int
+	for j, k := range s.slot {
+		if k >= 0 {
+			nonbasic = append(nonbasic, j)
+		}
+	}
+	if !slices.Equal(s.nonbasic, nonbasic) {
+		return fmt.Errorf("nonbasic list %v, slotted columns %v", s.nonbasic, nonbasic)
+	}
+	if len(s.loB) != s.m || len(s.hiB) != s.m {
+		return fmt.Errorf("%d/%d row bounds for %d rows", len(s.loB), len(s.hiB), s.m)
+	}
+	for i, b := range s.basis {
+		if s.loB[i] != s.lo[b] || s.hiB[i] != s.hi[b] {
+			return fmt.Errorf("row %d bounds [%v, %v], column %d's [%v, %v]", i, s.loB[i], s.hiB[i], b, s.lo[b], s.hi[b])
+		}
 	}
 	z := make([]float64, N)
 	for k, j := range s.col {
@@ -508,16 +527,16 @@ func refTableauPivot(t *tableau, r, c int) {
 		}
 		row := t.a[i]
 		for j := 0; j <= t.n; j++ {
-			row[j] -= f * pr[j]
+			row[j] -= float64(f * pr[j])
 		}
 		row[c] = 0
 	}
 	if f := t.z[c]; f != 0 {
 		for j := 0; j <= t.n; j++ {
-			t.z[j] -= f * pr[j]
+			t.z[j] -= float64(f * pr[j])
 		}
 		t.z[c] = 0
-		t.zv += f * pr[t.n]
+		t.zv += float64(f * pr[t.n])
 	}
 }
 

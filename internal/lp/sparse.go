@@ -94,6 +94,9 @@ type SparseSolver struct {
 	atUpper []bool
 	z       []float64 // reduced costs (internal minimization sense)
 	pos     []int     // column -> basis position where basic, or -1
+	// nonbasic lists the columns with pos < 0 in ascending order: the
+	// ratio test's visit order.
+	nonbasic []int
 
 	// Basis state by position k: basis[k] is the basic column, xB[k] its
 	// value, gamma[k] its Devex reference weight.
@@ -102,7 +105,7 @@ type SparseSolver struct {
 	gamma []float64
 
 	lu         luFactor
-	etas       []eta
+	etas       etaFile
 	needFactor bool
 
 	built bool
@@ -113,6 +116,8 @@ type SparseSolver struct {
 	rowBuf  []float64 // physical-row workspace for FTRAN/BTRAN
 	posBuf  []float64 // basis-position workspace
 	posBuf2 []float64
+	bcols   [][]colEntry // factorizeBasis' basis columns
+	units   []colEntry   // and its slack unit columns
 
 	// WantDuals requests ShadowPrices on returned Solutions.
 	WantDuals bool
@@ -283,6 +288,11 @@ func (s *SparseSolver) DropRow(arenaRow int) bool {
 			}
 			s.pos[s.basis[i]] = i
 		}
+		for x, j := range s.nonbasic {
+			if j > sc {
+				s.nonbasic[x] = j - 1
+			}
+		}
 	}
 	s.colsDirty = true
 	s.needFactor = true
@@ -302,10 +312,12 @@ func (s *SparseSolver) rebuild() {
 		s.pos = append(s.pos, -1)
 	}
 	s.z = s.z[:0]
+	s.nonbasic = s.nonbasic[:0]
 	for j := 0; j < s.n; j++ {
 		c := s.p.Obj[j]
 		s.z = append(s.z, c)
 		s.atUpper[j] = c < 0
+		s.nonbasic = append(s.nonbasic, j)
 	}
 	for r := 0; r < s.m; r++ {
 		s.z = append(s.z, 0)
@@ -315,7 +327,7 @@ func (s *SparseSolver) rebuild() {
 		s.xB = append(s.xB, 0)
 		s.gamma = append(s.gamma, 1)
 	}
-	s.etas = s.etas[:0]
+	s.etas.reset()
 	s.needFactor = true
 	s.built = true
 }
@@ -342,11 +354,14 @@ func (s *SparseSolver) ensureCols() {
 }
 
 // factorizeBasis refactorizes the current basis from its sparse columns,
-// dropping the eta file. unitCol is scratch for slack columns.
+// dropping the eta file.
 func (s *SparseSolver) factorizeBasis() error {
 	s.ensureCols()
-	bcols := make([][]colEntry, s.m)
-	units := make([]colEntry, s.m)
+	if cap(s.bcols) < s.m {
+		s.bcols = make([][]colEntry, s.m)
+		s.units = make([]colEntry, s.m)
+	}
+	bcols, units := s.bcols[:s.m], s.units[:s.m]
 	for k, b := range s.basis {
 		if b < s.n {
 			bcols[k] = s.cols[b]
@@ -358,7 +373,7 @@ func (s *SparseSolver) factorizeBasis() error {
 	if err := s.lu.factorize(s.m, bcols); err != nil {
 		return err
 	}
-	s.etas = s.etas[:0]
+	s.etas.reset()
 	s.needFactor = false
 	s.stats.Refactorizations++
 	return nil
@@ -387,15 +402,7 @@ func (s *SparseSolver) ftran(a, out []float64) {
 	for t := range s.lu.prow {
 		out[s.lu.bpos[t]] = a[s.lu.prow[t]]
 	}
-	for _, e := range s.etas {
-		f := out[e.r] / e.piv
-		if f != 0 {
-			for k, i := range e.idx {
-				out[i] -= e.val[k] * f
-			}
-		}
-		out[e.r] = f
-	}
+	s.etas.ftran(out)
 }
 
 // ftranCol computes w = B⁻¹·A_col for column id col (structural or
@@ -423,14 +430,7 @@ func (s *SparseSolver) btranPos(r int, out []float64) {
 		c[i] = 0
 	}
 	c[r] = 1
-	for k := len(s.etas) - 1; k >= 0; k-- {
-		e := &s.etas[k]
-		v := c[e.r]
-		for i, idx := range e.idx {
-			v -= e.val[i] * c[idx]
-		}
-		c[e.r] = v / e.piv
-	}
+	s.etas.btran(c)
 	for i := range out {
 		out[i] = 0
 	}
@@ -458,7 +458,7 @@ func (s *SparseSolver) computeXB() {
 			continue
 		}
 		for _, e := range s.cols[j] {
-			b[e.row] -= e.val * v
+			b[e.row] -= float64(e.val * v)
 		}
 	}
 	for r := 0; r < s.m; r++ {
@@ -487,14 +487,7 @@ func (s *SparseSolver) computeZ() {
 		}
 	}
 	// y = B⁻ᵀ·c_B by physical row.
-	for k := len(s.etas) - 1; k >= 0; k-- {
-		e := &s.etas[k]
-		v := c[e.r]
-		for i, idx := range e.idx {
-			v -= e.val[i] * c[idx]
-		}
-		c[e.r] = v / e.piv
-	}
+	s.etas.btran(c)
 	y := s.rowBuf
 	for i := range y {
 		y[i] = 0
@@ -506,7 +499,7 @@ func (s *SparseSolver) computeZ() {
 	for j := 0; j < s.n; j++ {
 		zj := s.p.Obj[j]
 		for _, e := range s.cols[j] {
-			zj -= e.val * y[e.row]
+			zj -= float64(e.val * y[e.row])
 		}
 		s.z[j] = zj
 	}
@@ -587,16 +580,17 @@ func (s *SparseSolver) dual() Status {
 			}
 			idx, val := s.ridx[i], s.rval[i]
 			for k, j := range idx {
-				alpha[j] += val[k] * ri
+				alpha[j] += float64(val[k] * ri)
 			}
 			alpha[s.n+i] = ri
 		}
 		// Entering column by the bounded-variable dual ratio test,
-		// identical to the dense kernel's.
+		// identical to the dense kernel's, over the nonbasic columns in
+		// ascending id.
 		e := -1
 		best := math.Inf(1)
-		for j := 0; j < N; j++ {
-			if s.pos[j] >= 0 || s.lo[j] == s.hi[j] {
+		for _, j := range s.nonbasic {
+			if s.lo[j] == s.hi[j] {
 				continue
 			}
 			a := alpha[j]
@@ -688,38 +682,33 @@ func (s *SparseSolver) dual() Status {
 				continue
 			}
 			if f := w[k]; f != 0 {
-				s.xB[k] -= f * dv
+				s.xB[k] -= float64(f * dv)
 			}
 		}
+		// Reduced costs: basic columns keep z = 0, so only the nonbasic
+		// columns (e among them) and the leaving column l move.
 		l := s.basis[r]
+		if f := s.z[e]; f != 0 {
+			finv := f / te
+			for _, j := range s.nonbasic {
+				if a := alpha[j]; a != 0 {
+					s.z[j] -= float64(finv * a)
+				}
+			}
+			if a := alpha[l]; a != 0 {
+				s.z[l] -= float64(finv * a)
+			}
+		}
+		s.z[e] = 0
 		s.pos[l] = -1
 		s.atUpper[l] = bnd == s.hi[l]
 		s.basis[r] = e
 		s.pos[e] = r
 		s.xB[r] = ve + dv
-		if f := s.z[e]; f != 0 {
-			finv := f / te
-			for j := 0; j < N; j++ {
-				if a := alpha[j]; a != 0 {
-					s.z[j] -= finv * a
-				}
-			}
-		}
-		s.z[e] = 0
-		for _, b := range s.basis {
-			s.z[b] = 0
-		}
+		swapNonbasic(s.nonbasic, e, l)
 		// Append the product-form eta; refactorize when the file is full.
-		var ei []int32
-		var ev []float64
-		for k := 0; k < s.m; k++ {
-			if k != r && w[k] != 0 {
-				ei = append(ei, int32(k))
-				ev = append(ev, w[k])
-			}
-		}
-		s.etas = append(s.etas, eta{r: int32(r), piv: te, idx: ei, val: ev})
-		if len(s.etas) >= refactorEvery {
+		s.etas.push(r, w)
+		if s.etas.len() >= refactorEvery {
 			if err := s.factorizeBasis(); err != nil {
 				s.stats.Pivots += iter + 1
 				return IterationLimit
@@ -739,7 +728,7 @@ func (s *SparseSolver) validate(x []float64) bool {
 		idx, val := s.ridx[r], s.rval[r]
 		act := 0.0
 		for k, j := range idx {
-			act += val[k] * x[j]
+			act += float64(val[k] * x[j])
 		}
 		if math.Abs(act+s.colVal(s.n+r)-s.rhs[r]) > tol*(1+math.Abs(s.rhs[r])) {
 			return false
@@ -758,7 +747,7 @@ func (s *SparseSolver) extract() *Solution {
 	z := p.ObjConst
 	for j := 0; j < s.n; j++ {
 		if c := p.Obj[j]; c != 0 {
-			z += c * x[j]
+			z += float64(c * x[j])
 		}
 	}
 	if p.Negated {
@@ -813,7 +802,7 @@ func (s *SparseSolver) Solve() (*Solution, error) {
 	st := IterationLimit
 	if s.prepare(warm) {
 		st = s.dual()
-		if st == Infeasible && len(s.etas) > 0 {
+		if st == Infeasible && s.etas.len() > 0 {
 			// An infeasibility certificate derived through a stale eta
 			// file is not trustworthy: on heavily degenerate faces (pool
 			// enumeration slabs) accumulated drift in xB/z can manufacture
@@ -895,6 +884,12 @@ func (s *SparseSolver) InstallBasis(basis []int, atUpper []bool) bool {
 		}
 		s.basis[k] = b
 		s.pos[b] = k
+	}
+	s.nonbasic = s.nonbasic[:0]
+	for j, p := range s.pos {
+		if p < 0 {
+			s.nonbasic = append(s.nonbasic, j)
+		}
 	}
 	copy(s.atUpper, atUpper)
 	s.needFactor = true

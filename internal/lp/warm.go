@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"hiopt/internal/linexpr"
 )
@@ -96,6 +97,14 @@ type Solver struct {
 	arenaIdx []int
 	rhs      []float64
 	sense    []linexpr.Sense
+	// ridx[r] lists live row r's nonzero columns in ascending order, the
+	// order validate sums them in; it is built with the row's tableau row
+	// (by rebuild, or by ingestRow on a built solver). The lists are
+	// capacity-capped views into nz, which rebuild refills and ingestRow
+	// appends to: appending, or reallocating nz, never writes into a
+	// list.
+	ridx [][]int32
+	nz   []int32
 
 	// Column state over N = n+m columns: structurals 0..n-1, then the
 	// slack of live row r at column n+r. A column is either basic, in
@@ -118,6 +127,11 @@ type Solver struct {
 	col   []int
 	basis []int
 	xB    []float64
+	// loB/hiB[i] are the bounds of basis[i], so leaving-row pricing
+	// reads three row-aligned arrays; nonbasic lists the columns with a
+	// slot in ascending id, the ratio test's visit order.
+	loB, hiB []float64
+	nonbasic []int
 
 	built bool // a valid basis/tableau exists
 	stats SolverStats
@@ -207,12 +221,16 @@ func (s *Solver) SetVarBounds(j int, lo, hi float64) {
 		}
 		if d := s.colVal(j) - old; d != 0 {
 			for i := 0; i < s.m; i++ {
-				s.xB[i] -= s.t[i][k] * d
+				s.xB[i] -= float64(s.t[i][k] * d)
 			}
 		}
 		return
 	}
 	s.lo[j], s.hi[j] = lo, hi
+	if s.built {
+		r := s.pos[j]
+		s.loB[r], s.hiB[r] = lo, hi
+	}
 }
 
 // SetRowRHS installs a new right-hand side for the arena row arenaRow
@@ -236,7 +254,7 @@ func (s *Solver) SetRowRHS(arenaRow int, rhs float64) {
 	}
 	k := s.slot[sc]
 	for i := 0; i < s.m; i++ {
-		s.xB[i] += s.t[i][k] * d
+		s.xB[i] += float64(s.t[i][k] * d)
 	}
 }
 
@@ -271,6 +289,7 @@ func (s *Solver) ingestRow(arenaRow int) {
 	s.arenaIdx = append(s.arenaIdx, arenaRow)
 	s.rhs = append(s.rhs, row.RHS)
 	s.sense = append(s.sense, row.Sense)
+	s.ridx = append(s.ridx, nil)
 	slo, shi := slackBounds(row.Sense)
 	s.lo = append(s.lo, slo)
 	s.hi = append(s.hi, shi)
@@ -310,17 +329,30 @@ func (s *Solver) ingestRow(arenaRow int) {
 		}
 	}
 	// Slack value in original coordinates: s = b − a·x.
+	s.ridx[r] = s.indexRow(row.Coefs)
 	v := row.RHS
-	for j := 0; j < s.n; j++ {
-		if c := row.Coefs[j]; c != 0 {
-			v -= c * s.colVal(j)
-		}
+	for _, j := range s.ridx[r] {
+		v -= float64(row.Coefs[j] * s.colVal(int(j)))
 	}
 	s.t = append(s.t, w)
 	s.basis = append(s.basis, sc)
 	s.xB = append(s.xB, v)
+	s.loB = append(s.loB, slo)
+	s.hiB = append(s.hiB, shi)
 	s.pos[sc] = r
 	s.m++
+}
+
+// indexRow appends the nonzero columns of a row to nz and returns them
+// as a capacity-capped view.
+func (s *Solver) indexRow(coefs []float64) []int32 {
+	b := len(s.nz)
+	for j, c := range coefs {
+		if c != 0 {
+			s.nz = append(s.nz, int32(j))
+		}
+	}
+	return s.nz[b:len(s.nz):len(s.nz)]
 }
 
 // DropRow removes a retired arena row from the tableau, provided its
@@ -352,6 +384,8 @@ func (s *Solver) DropRow(arenaRow int) bool {
 		s.t = s.t[:len(s.t)-1]
 		s.xB = append(s.xB[:rb], s.xB[rb+1:]...)
 		s.basis = append(s.basis[:rb], s.basis[rb+1:]...)
+		s.loB = append(s.loB[:rb], s.loB[rb+1:]...)
+		s.hiB = append(s.hiB[:rb], s.hiB[rb+1:]...)
 	}
 	// Without a live tableau the slack-column state is whatever rebuild
 	// will overwrite anyway, so the bookkeeping below is the whole job.
@@ -363,6 +397,7 @@ func (s *Solver) DropRow(arenaRow int) bool {
 	// Row bookkeeping: live rows after r shift down by one.
 	s.rhs = append(s.rhs[:r], s.rhs[r+1:]...)
 	s.sense = append(s.sense[:r], s.sense[r+1:]...)
+	s.ridx = append(s.ridx[:r], s.ridx[r+1:]...)
 	s.arenaIdx = append(s.arenaIdx[:r], s.arenaIdx[r+1:]...)
 	s.rowOf[arenaRow] = -1
 	for _, a := range s.arenaIdx[r:] {
@@ -393,6 +428,11 @@ func (s *Solver) DropRow(arenaRow int) bool {
 		}
 		s.slot[j] = k
 	}
+	for x, j := range s.nonbasic {
+		if j > sc {
+			s.nonbasic[x] = j - 1
+		}
+	}
 	return true
 }
 
@@ -417,12 +457,15 @@ func (s *Solver) rebuild() {
 	s.pos = s.pos[:0]
 	s.slot = s.slot[:0]
 	s.col = s.col[:0]
+	s.nonbasic = slices.Grow(s.nonbasic[:0], s.n)
 	s.z = s.z[:0]
+	s.loB, s.hiB = slices.Grow(s.loB[:0], s.m), slices.Grow(s.hiB[:0], s.m)
 	for j := 0; j < s.n; j++ {
 		c := s.p.Obj[j]
 		s.pos = append(s.pos, -1)
 		s.slot = append(s.slot, j)
 		s.col = append(s.col, j)
+		s.nonbasic = append(s.nonbasic, j)
 		s.z = append(s.z, c)
 		s.atUpper[j] = c < 0
 	}
@@ -431,18 +474,16 @@ func (s *Solver) rebuild() {
 		s.slot = append(s.slot, -1)
 		s.atUpper[s.n+r] = false
 		s.basis = append(s.basis, s.n+r)
+		s.loB = append(s.loB, s.lo[s.n+r])
+		s.hiB = append(s.hiB, s.hi[s.n+r])
 	}
+	s.nz = s.nz[:0]
 	for i := 0; i < s.m; i++ {
 		v := s.rhs[i]
 		coefs := s.p.Rows[s.arenaIdx[i]].Coefs
-		for j := 0; j < s.n; j++ {
-			if c := coefs[j]; c != 0 {
-				if s.atUpper[j] {
-					v -= c * s.hi[j]
-				} else {
-					v -= c * s.lo[j]
-				}
-			}
+		s.ridx[i] = s.indexRow(coefs)
+		for _, j := range s.ridx[i] {
+			v -= float64(coefs[j] * s.colVal(int(j)))
 		}
 		s.xB = append(s.xB, v)
 	}
@@ -470,7 +511,9 @@ func (s *Solver) pivot(r, e int, bnd float64) {
 	s.pos[l], s.slot[l] = -1, k
 	s.pos[e], s.slot[e] = r, -1
 	s.basis[r] = e
+	s.loB[r], s.hiB[r] = s.lo[e], s.hi[e]
 	s.col[k] = l
+	swapNonbasic(s.nonbasic, e, l)
 	s.xB[r] = ve + dv
 	inv := 1 / te
 	for j := range pr {
@@ -524,6 +567,22 @@ func subScaled(y, x []float64, f float64) {
 	}
 }
 
+// swapNonbasic replaces column out of the ascending list nb by column in,
+// keeping the list ascending.
+func swapNonbasic(nb []int, out, in int) {
+	i, _ := slices.BinarySearch(nb, out)
+	if in > out {
+		for ; i+1 < len(nb) && nb[i+1] < in; i++ {
+			nb[i] = nb[i+1]
+		}
+	} else {
+		for ; i > 0 && nb[i-1] > in; i-- {
+			nb[i] = nb[i-1]
+		}
+	}
+	nb[i] = in
+}
+
 // dual runs the dual simplex to primal feasibility. It returns Optimal,
 // Infeasible, or IterationLimit.
 //
@@ -546,27 +605,28 @@ func (s *Solver) dual() Status {
 	stall := 0 // consecutive degenerate pivots
 	for iter := 0; iter < maxIter; iter++ {
 		r, below := -1, false
+		xB := s.xB[:s.m]
+		loB, hiB := s.loB[:len(xB)], s.hiB[:len(xB)]
 		if iter >= blandAfter || stall > s.m {
 			// Dual Bland: smallest basic column index among the violated.
 			first := N
-			for i := 0; i < s.m; i++ {
+			for i, x := range xB {
 				b := s.basis[i]
 				if b >= first {
 					continue
 				}
-				if s.lo[b]-s.xB[i] > Tolerance {
+				if loB[i]-x > Tolerance {
 					first, r, below = b, i, true
-				} else if s.xB[i]-s.hi[b] > Tolerance {
+				} else if x-hiB[i] > Tolerance {
 					first, r, below = b, i, false
 				}
 			}
 		} else {
 			worst := Tolerance
-			for i := 0; i < s.m; i++ {
-				b := s.basis[i]
-				if v := s.lo[b] - s.xB[i]; v > worst {
+			for i, x := range xB {
+				if v := loB[i] - x; v > worst {
 					worst, r, below = v, i, true
-				} else if v := s.xB[i] - s.hi[b]; v > worst {
+				} else if v := x - hiB[i]; v > worst {
 					worst, r, below = v, i, false
 				}
 			}
@@ -581,16 +641,16 @@ func (s *Solver) dual() Status {
 		// with positive entry qualify; the symmetric case mirrors the
 		// signs. The minimum |z/α| keeps every reduced cost on its
 		// feasible side; ties break on the smallest column index. The
-		// columns are visited in ascending column id, not slot order: the
-		// tie-break below depends on the order of the visit.
+		// nonbasic columns are visited in ascending column id, not slot
+		// order: the tie-break below depends on the order of the visit.
 		tr := s.t[r]
 		e := -1
 		best := math.Inf(1)
-		for j := 0; j < N; j++ {
-			k := s.slot[j]
-			if k < 0 || s.lo[j] == s.hi[j] {
+		for _, j := range s.nonbasic {
+			if s.lo[j] == s.hi[j] {
 				continue
 			}
+			k := s.slot[j]
 			a := tr[k]
 			var ratio float64
 			if below {
@@ -634,9 +694,9 @@ func (s *Solver) dual() Status {
 		} else {
 			stall = 0
 		}
-		bnd := s.lo[s.basis[r]]
+		bnd := loB[r]
 		if !below {
-			bnd = s.hi[s.basis[r]]
+			bnd = hiB[r]
 		}
 		s.pivot(r, e, bnd)
 		if s.pivoted != nil {
@@ -654,12 +714,10 @@ func (s *Solver) dual() Status {
 func (s *Solver) validate(x []float64) bool {
 	const tol = 1e-6
 	for r := 0; r < s.m; r++ {
-		row := &s.p.Rows[s.arenaIdx[r]]
 		act := 0.0
-		for j, c := range row.Coefs {
-			if c != 0 {
-				act += c * x[j]
-			}
+		coefs := s.p.Rows[s.arenaIdx[r]].Coefs
+		for _, j := range s.ridx[r] {
+			act += float64(coefs[j] * x[j])
 		}
 		if math.Abs(act+s.colVal(s.n+r)-s.rhs[r]) > tol*(1+math.Abs(s.rhs[r])) {
 			return false
@@ -678,7 +736,7 @@ func (s *Solver) extract() *Solution {
 	z := p.ObjConst
 	for j := 0; j < s.n; j++ {
 		if c := p.Obj[j]; c != 0 {
-			z += c * x[j]
+			z += float64(c * x[j])
 		}
 	}
 	if p.Negated {

@@ -125,12 +125,12 @@ func GenInstance(M int, seed uint64) *linexpr.Compiled {
 	obj := linexpr.NewExpr(1)
 	for mi, n := range counts {
 		for k := 0; k < nModes; k++ {
-			ck := float64(k+1) * (1 + float64(g.Intn(512))/1024)
-			rx := 0.5 + float64(g.Intn(256))/1024
+			ck := float64(float64(k+1) * (1 + float64(float64(g.Intn(512))/1024)))
+			rx := 0.5 + float64(float64(g.Intn(256))/1024)
 			w := m.ProductBB(fmt.Sprintf("w_%d_%d", n, k), yVars[mi], pVars[k])
 			u := m.ProductBB(fmt.Sprintf("u_%d_%d", n, k), w, rtVar)
-			starCoef := ck + 2*float64(n-1)*rx
-			meshCoef := 2*ck + 1.5*float64(n-1)*rx
+			starCoef := ck + float64(2*float64(n-1)*rx)
+			meshCoef := float64(2*ck) + float64(1.5*float64(n-1)*rx)
 			obj = obj.PlusTerm(w, starCoef)
 			obj = obj.PlusTerm(u, meshCoef-starCoef)
 		}

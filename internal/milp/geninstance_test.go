@@ -64,10 +64,11 @@ func TestSparseKernelBudgetM40(t *testing.T) {
 // takes at least 1.25× the sparse kernel's wall time AND at least 1.25×
 // its per-iteration cost, each kernel timed as the fastest of five
 // alternating solves. Fifty runs at GOMAXPROCS 2 on a shared 2-vCPU
-// host all passed, reading dense/sparse 1.72–2.60× wall (median 2.15×)
-// and 1.84–2.79× per pivot (median 2.30×): dense 423–620 ms per solve
-// against sparse 182–290 ms. At M=40 the same ratios read 1.10–2.14×
-// and 0.92–1.79×, and 24 of 50 runs failed the per-pivot floor there.
+// host all passed, reading dense/sparse 2.36–4.29× wall (median 3.19×)
+// and 2.53–4.60× per pivot (median 3.42×): dense 401–545 ms per solve
+// against sparse 119–204 ms. At M=40 the same ratios read 1.12–2.48×
+// and 0.94–2.08×, and 12 of 50 runs fell below the per-pivot floor
+// there.
 //
 // The race detector instruments the sparse kernel's Go code, but not
 // the dense kernel's assembly row pass: under -race the sparse kernel
@@ -96,8 +97,8 @@ func TestSparseKernelCheaperM80(t *testing.T) {
 // returns each kernel's last aggregate and fastest wall time. A burst of
 // load from other processes then lands on both kernels instead of on one
 // kernel's back-to-back block. Every sparse solve must finish inside
-// budget, both must reach the optimum, and their objectives must agree
-// to 1e-9.
+// budget, both must reach the optimum, their objectives must agree to
+// 1e-9, and SparsePivots must count the sparse kernel's pivots only.
 func timeKernels(t *testing.T, p *linexpr.Compiled, budget time.Duration) (aggS, aggD *Solution, sparseWall, denseWall time.Duration) {
 	t.Helper()
 	solve := func(opt Options, agg **Solution, best *time.Duration) {
@@ -120,6 +121,10 @@ func timeKernels(t *testing.T, p *linexpr.Compiled, budget time.Duration) (aggS,
 	}
 	if aggS.Status != Optimal || aggD.Status != Optimal {
 		t.Fatalf("status sparse %v dense %v", aggS.Status, aggD.Status)
+	}
+	if aggS.SparsePivots != aggS.LPIterations || aggD.SparsePivots != 0 {
+		t.Fatalf("sparse pivots: %d of %d on the sparse kernel, %d on the dense one",
+			aggS.SparsePivots, aggS.LPIterations, aggD.SparsePivots)
 	}
 	if math.Abs(aggS.Objective-aggD.Objective) > 1e-9*(1+math.Abs(aggD.Objective)) {
 		t.Fatalf("kernels disagree: sparse %.12g dense %.12g", aggS.Objective, aggD.Objective)

@@ -105,6 +105,10 @@ type Solution struct {
 	// Refactorizations counts sparse-basis LU factorizations (zero on
 	// the dense kernel and the clone-based path).
 	Refactorizations int
+	// SparsePivots is the part of LPIterations taken on sparse
+	// revised-simplex kernels; the rest ran on the dense tableau or the
+	// clone-based path.
+	SparsePivots int
 	// PresolveFixed, PresolveDropped, and PresolveTightened report the
 	// construction-time presolve reductions of the attached State:
 	// implied variable fixings, never-binding rows removed, and
@@ -385,7 +389,7 @@ func CheckFeasible(p *linexpr.Compiled, x []float64, tol float64) error {
 	for _, r := range p.Rows {
 		lhs := 0.0
 		for j, c := range r.Coefs {
-			lhs += c * x[j]
+			lhs += float64(c * x[j])
 		}
 		switch r.Sense {
 		case linexpr.LE:

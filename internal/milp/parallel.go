@@ -63,6 +63,7 @@ type diveResult struct {
 	cold    int
 	refac   int
 	pivots  int
+	sparse  int // pivots taken on a sparse kernel
 	caps    int
 	waste   waste
 	err     error
@@ -230,6 +231,7 @@ func (st *State) runDive(task diveTask, cutoffRow float64, coldStart bool) diveR
 		cold:    d.ColdSolves - s0.ColdSolves,
 		refac:   d.Refactorizations - s0.Refactorizations,
 		pivots:  d.Pivots - s0.Pivots,
+		sparse:  sparsePivots(sv, d.Pivots-s0.Pivots),
 		caps:    d.IterationCaps - s0.IterationCaps,
 		err:     err,
 	}
@@ -280,6 +282,7 @@ func (st *State) parallelPool(agg *Solution, cutoffRow float64) ([]PoolSolution,
 		agg.WarmSolves += r.warm
 		agg.ColdSolves += r.cold
 		agg.Refactorizations += r.refac
+		agg.SparsePivots += r.sparse
 		agg.IterationCaps += r.caps
 		agg.ParallelDives++
 	}

@@ -128,9 +128,9 @@ type wnode struct {
 // simplex. Below it the dense solver's cache-resident rows × vars pivot
 // update wins (the paper instance sits at ~116); above it the sparse
 // kernel's nonzeros-proportional pivots win. With the dense row pass in
-// SSE2, the sparse kernel is 0.92–1.79× (median 1.27×) cheaper per pivot
+// SSE2, the sparse kernel is 0.94–2.08× (median 1.36×) cheaper per pivot
 // at the M=40 generator instance's ~1050 and clearly cheaper at M=80's
-// ~2100 (TestSparseKernelCheaperM80), so the measured crossover now lies
+// ~2100 (TestSparseKernelCheaperM80), so the measured crossover lies
 // near 1050, not 400. The value is not moved to follow it: a different
 // kernel choice changes pivot paths, and with them pinned P̄* bits.
 const sparseKernelThreshold = 400
@@ -148,6 +148,15 @@ func (o Options) newKernel(p *linexpr.Compiled) (lp.Kernel, error) {
 		return lp.NewSolver(p)
 	}
 	return lp.NewSparseSolver(p)
+}
+
+// sparsePivots returns pivots when k is the sparse kernel and 0 when it
+// is the dense one.
+func sparsePivots(k lp.Kernel, pivots int) int {
+	if _, ok := k.(*lp.SparseSolver); ok {
+		return pivots
+	}
+	return 0
 }
 
 // NewState attaches a persistent MILP state to p. The caller may keep
@@ -481,6 +490,7 @@ func (st *State) Solve() (*Solution, error) {
 		sol.WarmSolves += d.WarmSolves - s0.WarmSolves
 		sol.ColdSolves += d.ColdSolves - s0.ColdSolves
 		sol.Refactorizations += d.Refactorizations - s0.Refactorizations
+		sol.SparsePivots += sparsePivots(st.sv, d.Pivots-s0.Pivots)
 		sol.IterationCaps += d.IterationCaps - s0.IterationCaps
 		st.stampPresolve(sol)
 		st.waste.stamp(sol)
@@ -697,6 +707,7 @@ func (st *State) warmPoolOnce(limit int, objTol float64) ([]PoolSolution, *Solut
 	agg.WarmSolves += d.WarmSolves - s0.WarmSolves
 	agg.ColdSolves += d.ColdSolves - s0.ColdSolves
 	agg.Refactorizations += d.Refactorizations - s0.Refactorizations
+	agg.SparsePivots += sparsePivots(st.sv, d.Pivots-s0.Pivots)
 	agg.IterationCaps += d.IterationCaps - s0.IterationCaps
 	st.stampPresolve(agg)
 	return pool, agg, nil
