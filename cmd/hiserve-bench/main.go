@@ -1,6 +1,7 @@
 // Command hiserve-bench is the load driver for the hiserve daemon: it
 // fires N concurrent clients at POST /v1/design — a mix of personalized
-// profiles — and reports sustained designs/sec with p50/p99 latency.
+// profiles — and reports sustained designs/sec with p50/p99 latency and
+// how many requests the daemon answered from its response memo.
 // Every in-flight response is checked against the first response of its
 // profile: the daemon's determinism contract says identical request
 // bodies yield byte-identical response bodies regardless of concurrent
@@ -84,6 +85,8 @@ func main() {
 		MaxIdleConnsPerHost: *clients,
 	}}
 
+	hits0, err := memoHits(client, base)
+	c.Check(err)
 	var (
 		next      atomic.Int64
 		mu        sync.Mutex
@@ -134,6 +137,9 @@ func main() {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
+	hits1, err := memoHits(client, base)
+	c.Check(err)
+	hits := hits1 - hits0
 
 	if fails.Load() > 0 {
 		c.Check(fmt.Errorf("%d of %d requests failed", fails.Load(), *requests))
@@ -149,13 +155,15 @@ func main() {
 	p50, p99 := pct(0.50), pct(0.99)
 	dps := float64(len(latencies)) / elapsed.Seconds()
 	fmt.Printf("hiserve-bench: %d requests, %d clients, %s elapsed\n", len(latencies), *clients, elapsed.Round(time.Millisecond))
-	fmt.Printf("  designs/sec  %.1f\n", dps)
+	// The mix cycles five profiles, so past the first requests nearly
+	// every design is a memo hit: designs/sec is not solve throughput.
+	fmt.Printf("  designs/sec  %.1f (%d of %d answered from the response memo)\n", dps, hits, len(latencies))
 	fmt.Printf("  p50 latency  %s\n", p50.Round(time.Microsecond))
 	fmt.Printf("  p99 latency  %s\n", p99.Round(time.Microsecond))
 	fmt.Printf("  determinism  ok (%d profiles byte-stable)\n", len(profiles))
 
 	if *jsonOut != "" {
-		c.Check(appendResult(*jsonOut, len(latencies), *clients, dps, p50, p99))
+		c.Check(appendResult(*jsonOut, len(latencies), *clients, dps, hits, p50, p99))
 		fmt.Printf("  appended ServeLoad to %s\n", *jsonOut)
 	}
 	c.Close()
@@ -166,7 +174,7 @@ func main() {
 // field. hibench -cmp treats an entry missing from the OLD file as new
 // (reported, never a regression), so first-time appends keep the
 // benchcmp gates green.
-func appendResult(path string, n, clients int, dps float64, p50, p99 time.Duration) error {
+func appendResult(path string, n, clients int, dps float64, memoHits int64, p50, p99 time.Duration) error {
 	var file map[string]any
 	raw, err := os.ReadFile(path)
 	switch {
@@ -202,6 +210,7 @@ func appendResult(path string, n, clients int, dps float64, p50, p99 time.Durati
 			"p99_ms":          float64(p99.Microseconds()) / 1e3,
 			"clients":         float64(clients),
 			"requests":        float64(n),
+			"memo_hits":       float64(memoHits),
 		},
 	}
 	out, err := json.MarshalIndent(file, "", "  ")
@@ -209,4 +218,23 @@ func appendResult(path string, n, clients int, dps float64, p50, p99 time.Durati
 		return err
 	}
 	return os.WriteFile(path, append(out, '\n'), 0o644)
+}
+
+// memoHits reads the daemon's response-memo hit count from /statsz (0
+// from a daemon without a memo).
+func memoHits(client *http.Client, base string) (int64, error) {
+	resp, err := client.Get(base + "/statsz")
+	if err != nil {
+		return 0, err
+	}
+	defer resp.Body.Close()
+	var st struct {
+		Memo struct {
+			Hits int64 `json:"hits"`
+		} `json:"memo"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		return 0, fmt.Errorf("statsz: %w", err)
+	}
+	return st.Memo.Hits, nil
 }

@@ -20,7 +20,7 @@ func TestAppendResultNsPerOp(t *testing.T) {
 		t.Fatal(err)
 	}
 	const dps = 47.417563791553015
-	if err := appendResult(path, 2000, 1000, dps, 20*time.Second, 22*time.Second); err != nil {
+	if err := appendResult(path, 2000, 1000, dps, 1995, 20*time.Second, 22*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -45,7 +45,8 @@ func TestAppendResultNsPerOp(t *testing.T) {
 		t.Errorf("ns_per_op = %g, want 1e9/designs_per_sec = %g", sl.NsPerOp, want)
 	}
 	if sl.Metrics["designs_per_sec"] != dps || sl.Metrics["p50_ms"] != 20000 ||
-		sl.Metrics["p99_ms"] != 22000 || sl.Metrics["clients"] != 1000 || sl.Metrics["requests"] != 2000 {
+		sl.Metrics["p99_ms"] != 22000 || sl.Metrics["clients"] != 1000 || sl.Metrics["requests"] != 2000 ||
+		sl.Metrics["memo_hits"] != 1995 {
 		t.Errorf("metrics = %v", sl.Metrics)
 	}
 	if file.GeneratedBy != "hibench" || file.Benchmarks["des_steady_state"].NsPerOp != 25000 {

@@ -193,7 +193,8 @@ func TestLoadCacheRespectsBudget(t *testing.T) {
 }
 
 // TestLedgerSharesOneValuePerHash: concurrent misses on one hash build
-// one value; a value match rejects is replaced.
+// one value; a value match rejects is replaced; LedgerLookup finds the
+// filed value and files nothing on a miss.
 func TestLedgerSharesOneValuePerHash(t *testing.T) {
 	e, err := New(1)
 	if err != nil {
@@ -234,6 +235,12 @@ func TestLedgerSharesOneValuePerHash(t *testing.T) {
 	if s := e.LedgerStats(); s.Records != 1 {
 		t.Fatalf("%d records filed under one hash, want 1", s.Records)
 	}
+	if v := e.LedgerLookup(7, match); v == nil || v == got[0] {
+		t.Fatal("LedgerLookup missed the filed value or returned the rejected one")
+	}
+	if v := e.LedgerLookup(8, match); v != nil || builds != 2 || e.LedgerStats().Records != 1 {
+		t.Fatal("LedgerLookup found or filed a value under an empty hash")
+	}
 }
 
 // TestLedgerChargedToBudget: ledger charges count against the budget, take
@@ -261,7 +268,7 @@ func TestLedgerChargedToBudget(t *testing.T) {
 	}
 	b := e.Ledger(2, func(any) bool { return true }, func() any { return new(int) })
 	e.LedgerCharge(2, b, budget/3)
-	if s := e.LedgerStats(); s.Records != 1 || s.Evicted != 1 || e.led.bytes.Load() != budget/3 {
+	if s := e.LedgerStats(); s.Records != 1 || s.Evicted != 1 || e.led.bytes.Load() != budget/3+ledgerSlotBytes {
 		t.Fatalf("ledger %+v, want the older value evicted for the newer", s)
 	}
 	e.LedgerCharge(2, b, budget)

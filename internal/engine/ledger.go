@@ -3,6 +3,7 @@ package engine
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // ledger is the engine's side table: values a search layer derives once
@@ -28,6 +29,32 @@ type LedgerStats struct {
 	Evicted int64
 }
 
+// ledgerSlotBytes is a filed value's bookkeeping in the side table: its
+// ring slot and an estimate of its index-map entry (an 8-byte hash, a
+// 4-byte slot index and the map's per-entry overhead). LedgerCharge adds
+// it to every charge, so an owner charges only its value's own bytes.
+const ledgerSlotBytes = int64(unsafe.Sizeof(clockSlot[uint64, any]{})) + 24
+
+// LedgerLookup returns the side-table value filed under hash that match
+// accepts, or nil. Unlike Ledger it files nothing on a miss; match must
+// be quick and must not call back into the ledger.
+func (e *Engine) LedgerLookup(hash uint64, match func(any) bool) any {
+	l := &e.led
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.find(hash, match)
+}
+
+// find returns the value filed under hash that match accepts, marked
+// referenced, or nil. Callers hold mu.
+func (l *ledger) find(hash uint64, match func(any) bool) any {
+	if s := l.c.get(hash); s != nil && match(s.val) {
+		s.ref = true
+		return s.val
+	}
+	return nil
+}
+
 // Ledger returns the side-table value filed under hash that match
 // accepts. Otherwise it files the value build returns under hash —
 // replacing whatever was filed there — and returns that. Lookup and
@@ -39,9 +66,8 @@ func (e *Engine) Ledger(hash uint64, match func(any) bool, build func() any) any
 	l := &e.led
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if s := l.c.get(hash); s != nil && match(s.val) {
-		s.ref = true
-		return s.val
+	if v := l.find(hash, match); v != nil {
+		return v
 	}
 	v := build()
 	l.c.put(hash, v, 0, false, noLimit)
@@ -50,33 +76,37 @@ func (e *Engine) Ledger(hash uint64, match func(any) bool, build func() any) any
 }
 
 // LedgerCharge sets the charge of v — filed under hash by Ledger — to
-// bytes, as its owner grows it. On a bounded engine the side table may
-// use at most half the budget: charging past it evicts other values in
-// CLOCK order, and v itself when it alone exceeds that half. The results
-// then shrink to fit what the table leaves of the budget. A v no longer
-// filed under hash is not charged.
-func (e *Engine) LedgerCharge(hash uint64, v any, bytes int64) {
+// bytes plus its slot in the table, as its owner grows it. On a bounded
+// engine the side table may use at most half the budget: charging past
+// it evicts other values in CLOCK order, and v itself when it alone
+// exceeds that half. The results then shrink to fit what the table
+// leaves of the budget. A v no longer filed under hash is not charged.
+// LedgerCharge reports whether v is still filed.
+func (e *Engine) LedgerCharge(hash uint64, v any, bytes int64) bool {
 	l := &e.led
 	l.mu.Lock()
 	s := l.c.get(hash)
 	if s == nil || s.val != v {
 		l.mu.Unlock()
-		return
+		return false
 	}
+	bytes += ledgerSlotBytes
 	limit := int64(noLimit)
 	if b := e.budget.Load(); b > 0 {
 		limit = b / 2
 	}
-	if bytes > limit {
-		l.c.drop(hash)
-		l.evicted++
-	} else {
+	filed := bytes <= limit
+	if filed {
 		l.evicted += int64(l.c.put(hash, v, bytes, false, limit))
 		l.c.get(hash).ref = true
+	} else {
+		l.c.drop(hash)
+		l.evicted++
 	}
 	l.bytes.Store(l.c.bytes)
 	l.mu.Unlock()
 	e.trimShards()
+	return filed
 }
 
 // LedgerStats returns the side table's counters.

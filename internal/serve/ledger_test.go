@@ -24,6 +24,12 @@ func statsz(t *testing.T, url string) (st struct {
 		ReplayedClasses int64 `json:"replayed_classes"`
 		Evicted         int64 `json:"evicted"`
 	} `json:"ledger"`
+	Memo struct {
+		Hits   int64 `json:"hits"`
+		Filled int64 `json:"filled"`
+	} `json:"memo"`
+	Solves       int64 `json:"solves"`
+	AlphaStopped int64 `json:"alpha_stopped"`
 }) {
 	t.Helper()
 	resp, err := http.Get(url + "/statsz")
@@ -53,10 +59,11 @@ func randomBodies(n int) []string {
 	return bodies
 }
 
-// TestLedgerMatchesFreshServers: random tenants sent to one shared server
-// by two concurrent clients get byte-identical bodies to the ones a fresh
-// server (an empty class ledger and cache) returns, while the shared
-// server's ledger answers later tenants' MILP calls by replay.
+// TestLedgerMatchesFreshServers: random tenants sent twice to one shared
+// server by two concurrent clients get byte-identical bodies to the ones
+// a fresh server (an empty class ledger, memo and cache) returns, while
+// the shared server's ledger answers later tenants' MILP calls by replay
+// and every repeat from the response memo.
 func TestLedgerMatchesFreshServers(t *testing.T) {
 	n := 8
 	if testing.Short() {
@@ -64,18 +71,20 @@ func TestLedgerMatchesFreshServers(t *testing.T) {
 	}
 	bodies := randomBodies(n)
 	_, ts := newTestServer(t, Config{Workers: 2})
-	got := make([][]byte, n)
+	got := make([][2][]byte, n)
 	var wg sync.WaitGroup
 	for c := 0; c < 2; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			for i := c; i < n; i += 2 {
-				status, body := post(t, ts.URL, bodies[i])
-				if status != http.StatusOK {
-					t.Errorf("tenant %d: status %d: %s", i, status, body)
+				for k := range got[i] {
+					status, body := post(t, ts.URL, bodies[i])
+					if status != http.StatusOK {
+						t.Errorf("tenant %d: status %d: %s", i, status, body)
+					}
+					got[i][k] = body
 				}
-				got[i] = body
 			}
 		}(c)
 	}
@@ -89,14 +98,19 @@ func TestLedgerMatchesFreshServers(t *testing.T) {
 		if status != http.StatusOK {
 			t.Fatalf("tenant %d on a fresh server: status %d: %s", i, status, want)
 		}
-		if !bytes.Equal(got[i], want) {
-			t.Fatalf("tenant %d: the shared server's body differs from a fresh server's:\n%s\nvs\n%s", i, got[i], want)
+		for k, b := range got[i] {
+			if !bytes.Equal(b, want) {
+				t.Fatalf("tenant %d, copy %d: the shared server's body differs from a fresh server's:\n%s\nvs\n%s", i, k, b, want)
+			}
 		}
 		fresh.Close()
 	}
 	st := statsz(t, ts.URL)
 	if st.Ledger.ReplayedClasses == 0 || st.Ledger.SolvedClasses == 0 || st.Ledger.Records == 0 {
 		t.Fatalf("ledger %+v: want solves, replays and a filed record", st.Ledger)
+	}
+	if st.Solves != int64(n) || st.Memo.Filled != int64(n) || st.Memo.Hits != int64(n) {
+		t.Fatalf("solves %d, memo %+v: want %d solves, entries and hits", st.Solves, st.Memo, n)
 	}
 }
 

@@ -254,17 +254,43 @@ func streamingMatchesNonStreaming(t *testing.T, cacheBytes int64) *Server {
 		t.Fatal(err)
 	}
 
-	resp, err := http.Post(ts.URL+"/v1/design", "application/json", strings.NewReader(fastBody(`"stream": true`)))
+	stream := func() []byte {
+		resp, err := http.Post(ts.URL+"/v1/design", "application/json", strings.NewReader(fastBody(`"stream": true`)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+			t.Fatalf("stream content type %q", ct)
+		}
+		raw, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	// The plain request filed the answer, so both streams are replays of
+	// its memo entry; a fresh server's stream is solved live.
+	raw := stream()
+	if repeat := stream(); !bytes.Equal(raw, repeat) {
+		t.Fatalf("streamed repeat diverged:\n%s\nvs\n%s", raw, repeat)
+	}
+	_, fresh := newTestServer(t, withBudget(t, Config{Workers: 2}, cacheBytes))
+	resp, err := http.Post(fresh.URL+"/v1/design", "application/json", strings.NewReader(fastBody(`"stream": true`)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("stream content type %q", ct)
+	live, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(raw, live) {
+		t.Fatalf("replayed stream differs from a live one:\n%s\nvs\n%s", raw, live)
 	}
 	var iterations int
 	var final *Response
-	sc := bufio.NewScanner(resp.Body)
+	sc := bufio.NewScanner(bytes.NewReader(raw))
 	for sc.Scan() {
 		var ev struct {
 			Event    string    `json:"event"`
@@ -307,6 +333,9 @@ func streamingMatchesNonStreaming(t *testing.T, cacheBytes int64) *Server {
 	plainJSON, _ := json.Marshal(&plainResp)
 	if !bytes.Equal(finalJSON, plainJSON) {
 		t.Fatalf("streamed result diverged:\n%s\nvs\n%s", finalJSON, plainJSON)
+	}
+	if st := statsz(t, ts.URL); st.Solves != 1 || st.Memo.Hits != 2 || st.Memo.Filled != 1 {
+		t.Fatalf("solves %d, memo %+v: want 1 solve, 1 entry and 2 hits", st.Solves, st.Memo)
 	}
 	return s
 }
@@ -356,15 +385,16 @@ func TestCancelMidStream(t *testing.T) {
 	}
 }
 
-// TestAdmissionOverflow: with capacity 1 and a queue of 1, the third
-// concurrent request must be turned away with 429 + Retry-After.
-func TestAdmissionOverflow(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, Capacity: 1, MaxQueue: 1})
+// fillAdmission occupies the only slot and the only queue place of a
+// server built with Capacity 1 and MaxQueue 1 with two heavy requests,
+// which run until the test ends.
+func fillAdmission(t *testing.T, url string) {
+	t.Helper()
 	heavy := `{"duration": 600, "runs": 10, "max_iterations": 200}`
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	t.Cleanup(cancel)
 	launch := func() {
-		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/design", strings.NewReader(heavy))
+		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/design", strings.NewReader(heavy))
 		req.Header.Set("Content-Type", "application/json")
 		resp, err := http.DefaultClient.Do(req)
 		if err == nil {
@@ -373,10 +403,10 @@ func TestAdmissionOverflow(t *testing.T) {
 	}
 	go launch() // occupies the only slot
 	go launch() // fills the queue
-	// Wait for slot + queue to fill, then overflow.
+	// Wait for slot + queue to fill.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		resp, err := http.Get(ts.URL + "/statsz")
+		resp, err := http.Get(url + "/statsz")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -389,24 +419,102 @@ func TestAdmissionOverflow(t *testing.T) {
 			t.Fatal(err)
 		}
 		if st.Admission.Used >= 1 && st.Admission.Queued >= 1 {
-			break
+			return
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("admission never filled: %+v", st.Admission)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	resp, err := http.Post(ts.URL+"/v1/design", "application/json", strings.NewReader(fastBody("")))
+}
+
+// overflowed checks that body is turned away with 429 + Retry-After.
+func overflowed(t *testing.T, url, body string) {
+	t.Helper()
+	resp, err := http.Post(url+"/v1/design", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusTooManyRequests {
-		body, _ := io.ReadAll(resp.Body)
-		t.Fatalf("overflow request got %d: %s", resp.StatusCode, body)
+		data, _ := io.ReadAll(resp.Body)
+		t.Fatalf("overflow request got %d: %s", resp.StatusCode, data)
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
+	}
+}
+
+// TestAdmissionOverflow: with capacity 1 and a queue of 1, the third
+// concurrent request must be turned away with 429 + Retry-After.
+func TestAdmissionOverflow(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, Capacity: 1, MaxQueue: 1})
+	fillAdmission(t, ts.URL)
+	overflowed(t, ts.URL, fastBody(""))
+}
+
+// TestMemoHitSkipsAdmission: with the slot and the queue full, a repeat
+// of an answered profile still gets 200 with its first body, plain or
+// streamed, while a new profile gets 429.
+func TestMemoHitSkipsAdmission(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, Capacity: 1, MaxQueue: 1})
+	status, first := post(t, ts.URL, fastBody(""))
+	if status != http.StatusOK {
+		t.Fatalf("first request: status %d: %s", status, first)
+	}
+	fillAdmission(t, ts.URL)
+	if status, again := post(t, ts.URL, fastBody("")); status != http.StatusOK || !bytes.Equal(again, first) {
+		t.Fatalf("repeat under full admission: status %d:\n%s\nvs\n%s", status, again, first)
+	}
+	if status, stream := post(t, ts.URL, fastBody(`"stream": true`)); status != http.StatusOK || !bytes.Contains(stream, []byte(`"event":"result"`)) {
+		t.Fatalf("streamed repeat under full admission: status %d: %s", status, stream)
+	}
+	overflowed(t, ts.URL, fastBody(`"seed": 2`))
+}
+
+// TestCancelledSolveFilesNothing: a request cancelled mid-solve leaves no
+// memo entry, and the next identical request solves afresh and gets a
+// fresh server's body.
+func TestCancelledSolveFilesNothing(t *testing.T) {
+	body := `{"duration": 120, "runs": 3, "max_iterations": 6, "seed": 7, "stream": true}`
+	s, ts := newTestServer(t, Config{Workers: 2})
+	ctx, cancel := context.WithCancel(context.Background())
+	req, _ := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/design", strings.NewReader(body))
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bufio.NewReader(resp.Body).ReadString('\n'); err != nil {
+		t.Fatalf("never saw a first iteration event: %v", err)
+	}
+	cancel()
+	resp.Body.Close()
+	// The handler returns once the solve stopped; then the admission slot
+	// is free again.
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		if used, _, _ := s.adm.loadStats(); used == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the cancelled solve never returned its admission slot")
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if st := statsz(t, ts.URL); st.Memo.Filled != 0 || st.Solves != 0 {
+		t.Fatalf("solves %d, memo %+v after a cancelled solve, want none", st.Solves, st.Memo)
+	}
+	status, got := post(t, ts.URL, body)
+	if status != http.StatusOK {
+		t.Fatalf("status %d: %s", status, got)
+	}
+	if st := statsz(t, ts.URL); st.Solves != 1 || st.Memo.Hits != 0 || st.Memo.Filled != 1 {
+		t.Fatalf("solves %d, memo %+v, want the repeat solved and filed", st.Solves, st.Memo)
+	}
+	_, fresh := newTestServer(t, Config{Workers: 2})
+	if status, want := post(t, fresh.URL, body); status != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("body after a cancelled solve differs from a fresh server's (status %d):\n%s\nvs\n%s", status, got, want)
 	}
 }
 
@@ -493,27 +601,21 @@ func TestServeSmoke(t *testing.T) {
 	fmt.Println("serve-smoke: 3 concurrent tenants, deterministic repeat, clean shutdown")
 }
 
-// TestStatszCountsSolves: one completed request shows up on /statsz as
-// one solve and, since the same problem solved directly through core
-// stops by the α bound, as one α stop.
+// TestStatszCountsSolves: one completed request and two repeats show up
+// on /statsz as one solve, one memo entry and two memo hits and, since
+// the same problem solved directly through core stops by the α bound,
+// as one α stop.
 func TestStatszCountsSolves(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1})
 	body := fastBody(`"pdr_min": 0.5`)
-	if status, data := post(t, ts.URL, body); status != http.StatusOK {
-		t.Fatalf("status %d: %s", status, data)
+	for i := 0; i < 3; i++ {
+		if status, data := post(t, ts.URL, body); status != http.StatusOK {
+			t.Fatalf("status %d: %s", status, data)
+		}
 	}
-	resp, err := http.Get(ts.URL + "/statsz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st struct {
-		Solves       int64 `json:"solves"`
-		AlphaStopped int64 `json:"alpha_stopped"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
+	st := statsz(t, ts.URL)
+	if st.Memo.Hits != 2 || st.Memo.Filled != 1 {
+		t.Fatalf("/statsz memo %+v, want 2 hits and 1 entry filled", st.Memo)
 	}
 
 	var raw Profile

@@ -54,8 +54,8 @@ type Config struct {
 //	POST /v1/design  — solve a personalized design problem (Profile in,
 //	                   Response out; NDJSON progress when Stream is set)
 //	GET  /healthz    — liveness
-//	GET  /statsz     — engine, class-ledger, admission and solve
-//	                   counters
+//	GET  /statsz     — engine, class-ledger, response-memo, admission
+//	                   and solve counters
 //	                   (non-deterministic; kept off /v1/design so its
 //	                   body stays bit-stable)
 //
@@ -63,7 +63,9 @@ type Config struct {
 // response body regardless of concurrent tenants — personalization is
 // quantized, the problem is built from the quantized values, results
 // come from the engine's deterministic submission-order merge, and
-// nothing wall-clock-dependent is written to /v1/design responses.
+// nothing wall-clock-dependent is written to /v1/design responses. So a
+// repeat of an answered profile is written from the response memo
+// (memo.go), ahead of admission and without a solve.
 type Server struct {
 	cfg Config
 	eng *engine.Engine
@@ -76,6 +78,9 @@ type Server struct {
 	// solvedClasses and replayedClasses split the completed runs' MILP
 	// oracle calls into fresh solves and class-ledger replays.
 	solvedClasses, replayedClasses atomic.Int64
+	// memoHits counts requests answered from the response memo (never
+	// counted as solves); memoFilled the answers filed in it.
+	memoHits, memoFilled atomic.Int64
 }
 
 // New builds a Server.
@@ -185,6 +190,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"replayed_classes": s.replayedClasses.Load(),
 			"evicted":          led.Evicted,
 		},
+		"memo": map[string]int64{
+			"hits":   s.memoHits.Load(),
+			"filled": s.memoFilled.Load(),
+		},
 		"admission": map[string]int{
 			"used": used, "capacity": capacity, "queued": queued,
 		},
@@ -224,6 +233,18 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
+	// A repeat of an answered profile costs no solve, so it neither
+	// waits for nor takes an admission slot.
+	if e := s.memoLookup(p); e != nil {
+		s.memoHits.Add(1)
+		if p.Stream {
+			replay(w, e)
+		} else {
+			writeResponse(w, e.resp)
+		}
+		return
+	}
+
 	weight := 1
 	if p.Gamma > 0 {
 		weight = s.cfg.RobustWeight
@@ -254,27 +275,38 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
+	writeResponse(w, resp)
+}
+
+// writeResponse writes a non-streaming answer.
+func writeResponse(w http.ResponseWriter, resp *Response) {
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	enc.Encode(resp)
 }
 
-// solveStreaming answers one request as chunked NDJSON: iteration events
-// as they happen, then the final result line. Everything is written from
-// this goroutine (core calls OnIteration synchronously), so no locking.
-func (s *Server) solveStreaming(w http.ResponseWriter, ctx context.Context, p Profile) {
+// ndjson starts a chunked NDJSON answer and returns its line writer,
+// which flushes every line.
+func ndjson(w http.ResponseWriter) func(event) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("X-Accel-Buffering", "no") // defeat proxy buffering
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
-	emit := func(e event) {
+	return func(e event) {
 		enc.Encode(e)
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
+}
+
+// solveStreaming answers one request as chunked NDJSON: iteration events
+// as they happen, then the final result line. Everything is written from
+// this goroutine (core calls OnIteration synchronously), so no locking.
+func (s *Server) solveStreaming(w http.ResponseWriter, ctx context.Context, p Profile) {
+	emit := ndjson(w)
 	resp, err := s.solve(ctx, p, func(ev core.IterationEvent) {
 		emit(event{Event: "iteration", IterationEvent: &ev})
 	})
@@ -287,10 +319,30 @@ func (s *Server) solveStreaming(w http.ResponseWriter, ctx context.Context, p Pr
 	emit(event{Event: "result", Response: resp})
 }
 
-// solve runs one personalized problem to completion on the shared
-// engine.
+// replay answers a streamed repeat from its memo entry: the solve's
+// iteration lines, then the result line echoing the request's
+// stream: true — the bytes solveStreaming wrote for it.
+func replay(w http.ResponseWriter, e *memoEntry) {
+	emit := ndjson(w)
+	for i := range e.events {
+		emit(event{Event: "iteration", IterationEvent: &e.events[i]})
+	}
+	r := *e.resp
+	r.Profile.Stream = true
+	emit(event{Event: "result", Response: &r})
+}
+
+// solve runs one personalized problem to completion on the shared engine
+// and files the answer in the response memo. A failed or cancelled solve
+// files nothing.
 func (s *Server) solve(ctx context.Context, p Profile, onIter func(core.IterationEvent)) (*Response, error) {
-	out, err := core.NewOptimizer(p.problem(), p.options(s.eng, onIter)).RunCtx(ctx)
+	var events []core.IterationEvent
+	out, err := core.NewOptimizer(p.problem(), p.options(s.eng, func(ev core.IterationEvent) {
+		events = append(events, ev)
+		if onIter != nil {
+			onIter(ev)
+		}
+	})).RunCtx(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -324,5 +376,6 @@ func (s *Server) solve(ctx context.Context, p Profile, onIter func(core.Iteratio
 			resp.Design.WorstScenario = b.WorstScenario
 		}
 	}
+	s.memoFile(resp, events)
 	return resp, nil
 }
