@@ -133,7 +133,7 @@ func (r *classRecord) matches(work *linexpr.Compiled, opts Options) bool {
 // classRecord returns the record a run over the freshly compiled arena
 // work replays from: the engine ledger's record for that relaxation when
 // one is filed and no extension of it failed, else a new record keyed on
-// work (which it takes ownership of, with mm) and filed in the ledger,
+// work (which it takes ownership of, with mm's decoder) and filed in the ledger,
 // charged from its first extension on. Filing builds no solver state, so
 // the ledger's lock is held only for the lookup. A run holds on to the
 // record it got, so neither a concurrent run that replaces it nor an
@@ -149,28 +149,27 @@ func (o *Optimizer) classRecord(mm *milpModel, work *linexpr.Compiled) *classRec
 			hash:      h,
 			poolLimit: o.Options.PoolLimit,
 			workers:   o.Options.MILPWorkers,
-			mm:        mm,
+			mm:        mm.decoder(),
 		}
 	}).(*classRecord)
 }
 
-// bytes estimates the record's footprint for the engine's budget: its
-// key arena, its cut arena, the warm state's tableau (sized like the cut
-// arena — a dense row of coefficients per row) and its decoded classes.
-// Callers hold mu.
+// bytes is the record's footprint for the engine's budget: the record,
+// its key and cut arenas, its warm state as the MILP and LP kernels size
+// it (the sparse kernel's LU factors and eta file included), its decode
+// model and its decoded classes. Callers hold mu.
 func (r *classRecord) bytes() int64 {
-	n := int64(unsafe.Sizeof(*r)) + arenaBytes(r.key) + 2*arenaBytes(r.work)
+	n := int64(unsafe.Sizeof(*r)) + r.key.Bytes() + r.mm.bytes()
+	if r.work != nil {
+		n += r.work.Bytes()
+	}
+	if r.st != nil {
+		n += r.st.Bytes()
+	}
 	for _, c := range r.classes {
-		n += int64(unsafe.Sizeof(*c)) + int64(len(c.points))*int64(unsafe.Sizeof(design.Point{}))
+		n += int64(unsafe.Sizeof(*c)) + int64(cap(c.points))*int64(unsafe.Sizeof(design.Point{}))
 	}
 	return n
-}
-
-// arenaBytes estimates a compiled arena's footprint: its dense rows and
-// its per-variable vectors.
-func arenaBytes(c *linexpr.Compiled) int64 {
-	n := int64(len(c.Rows)) * (int64(unsafe.Sizeof(linexpr.CompiledRow{})) + 8*int64(c.NumVars))
-	return n + int64(c.NumVars)*(4*8+1+int64(unsafe.Sizeof("")))
 }
 
 // oracle returns the record's chain as seen by a run of o: round i

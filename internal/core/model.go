@@ -16,6 +16,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"hiopt/internal/design"
 	"hiopt/internal/linexpr"
@@ -174,4 +175,22 @@ func (mm *milpModel) checkExactness(pr *design.Problem, x []float64) error {
 		return fmt.Errorf("core: linearized objective %v != analytic %v for %v", got, want, p)
 	}
 	return nil
+}
+
+// decoder returns a copy of mm without its linexpr.Model: what a class
+// record keeps to decode its pools and state its cuts, once the model
+// has been compiled.
+func (mm *milpModel) decoder() *milpModel {
+	d := *mm
+	d.model = nil
+	return &d
+}
+
+// bytes is a decoder's heap: the model without its linexpr.Model, its
+// variable lists and its objective.
+func (mm *milpModel) bytes() int64 {
+	id := int64(unsafe.Sizeof(linexpr.VarID(0)))
+	n := int64(unsafe.Sizeof(*mm)) + id*int64(cap(mm.nVars)+cap(mm.pVars)+cap(mm.yVars))
+	n += int64(cap(mm.nodeCounts)) * int64(unsafe.Sizeof(int(0)))
+	return n + int64(cap(mm.objective.Terms))*int64(unsafe.Sizeof(linexpr.Term{}))
 }

@@ -16,6 +16,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"unsafe"
 )
 
 // VarID identifies a variable within one Model.
@@ -458,6 +459,22 @@ func (c *Compiled) Equal(d *Compiled) bool {
 		}
 	}
 	return true
+}
+
+// Bytes is the compiled problem's heap: its vectors and dense rows up to
+// their capacities, and its name strings. A Clone shares its original's
+// strings, so the two together are counted a little high.
+func (c *Compiled) Bytes() int64 {
+	n := int64(unsafe.Sizeof(*c)) + 8*int64(cap(c.Obj)+cap(c.Lo)+cap(c.Hi)) + int64(cap(c.Integer))
+	n += int64(cap(c.Names)) * int64(unsafe.Sizeof(""))
+	for _, s := range c.Names {
+		n += int64(len(s))
+	}
+	n += int64(cap(c.Rows)) * int64(unsafe.Sizeof(CompiledRow{}))
+	for _, r := range c.Rows {
+		n += 8*int64(cap(r.Coefs)) + int64(len(r.Name))
+	}
+	return n
 }
 
 // Hash is a 64-bit FNV-1a-style digest of exactly the fields Equal

@@ -27,6 +27,7 @@ package presolve
 
 import (
 	"math"
+	"unsafe"
 
 	"hiopt/internal/linexpr"
 )
@@ -262,4 +263,19 @@ func (r *Reductions) Apply(p *linexpr.Compiled) Stats {
 		row.RHS = pt.rhs
 	}
 	return r.Stats()
+}
+
+// mapEntryBytes estimates a small map's cost per entry beyond its key
+// and value: bucket headers, tophash bytes and load-factor slack.
+const mapEntryBytes = 24
+
+// Bytes estimates the reductions' heap: the fixings, the dropped rows
+// and the coefficient patches.
+func (r *Reductions) Bytes() int64 {
+	n := int64(unsafe.Sizeof(*r)) + int64(len(r.Fixed))*(int64(unsafe.Sizeof(Bounds{}))+8+mapEntryBytes)
+	n += int64(cap(r.DropRows))*8 + int64(cap(r.patches))*int64(unsafe.Sizeof(patch{}))
+	for _, p := range r.patches {
+		n += int64(len(p.coef)) * (16 + mapEntryBytes)
+	}
+	return n
 }

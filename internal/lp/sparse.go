@@ -50,6 +50,8 @@ type Kernel interface {
 	DropRow(arenaRow int) bool
 	ReducedCost(j int) float64
 	Stats() SolverStats
+	// Bytes is the heap the kernel holds, its arena excluded.
+	Bytes() int64
 }
 
 var (

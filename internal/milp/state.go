@@ -3,6 +3,7 @@ package milp
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"hiopt/internal/linexpr"
 	"hiopt/internal/lp"
@@ -852,4 +853,24 @@ func (st *State) enumerate(agg *Solution, pool *[]PoolSolution, added *[]int, li
 	}
 	agg.Nodes += nodes
 	return nil
+}
+
+// Bytes is the heap the state holds beyond its arena: its warm kernel,
+// its bound-diff and pool bookkeeping, its presolve reductions and its
+// free list of node records.
+func (st *State) Bytes() int64 {
+	n := int64(unsafe.Sizeof(*st))
+	if st.sv != nil {
+		n += st.sv.Bytes()
+	}
+	n += int64(cap(st.applied)+cap(st.undo)) * int64(unsafe.Sizeof(bdiff{}))
+	n += int64(cap(st.retired)+cap(st.dead)) * int64(unsafe.Sizeof(int(0)))
+	if st.red != nil {
+		n += st.red.Bytes()
+	}
+	n += int64(cap(st.free)) * int64(unsafe.Sizeof(&wnode{}))
+	for _, nd := range st.free {
+		n += int64(unsafe.Sizeof(*nd)) + int64(cap(nd.diffs))*int64(unsafe.Sizeof(bdiff{})) + int64(cap(nd.x))*8
+	}
+	return n
 }
