@@ -41,7 +41,7 @@ func main() {
 			fmt.Printf("  PDR ≥ %4.0f%%  infeasible\n", pt.PDRMin*100)
 			continue
 		}
-		bar := strings.Repeat("█", int(pt.Best.NLTDays/maxDays*40+0.5))
+		bar := strings.Repeat("█", int(float64(pt.Best.NLTDays/maxDays*40)+0.5))
 		fmt.Printf("  PDR ≥ %4.0f%%  %5.1f d %-40s  %v\n",
 			pt.PDRMin*100, pt.Best.NLTDays, bar, pt.Best.Point)
 	}

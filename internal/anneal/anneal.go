@@ -154,7 +154,7 @@ func (a *Annealer) evaluate(p design.Point) (*Entry, error) {
 	e.Energy = e.PowerMW
 	if !e.Feasible {
 		shortfall := a.pr.PDRMin - res.PDR
-		e.Energy += a.opts.PenaltyBaseMW + a.opts.PenaltyMW*shortfall
+		e.Energy += a.opts.PenaltyBaseMW + float64(a.opts.PenaltyMW*shortfall)
 	}
 	return e, nil
 }

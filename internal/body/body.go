@@ -89,7 +89,7 @@ func Default() []Location {
 // Distance returns the Euclidean distance between two locations in meters.
 func Distance(a, b Location) float64 {
 	dx, dy, dz := a.X-b.X, a.Y-b.Y, a.Z-b.Z
-	return math.Sqrt(dx*dx + dy*dy + dz*dz)
+	return math.Sqrt(float64(dx*dx) + float64(dy*dy) + float64(dz*dz))
 }
 
 // Shadowed reports whether the straight path between two locations crosses

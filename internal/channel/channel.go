@@ -277,7 +277,7 @@ func meanPathLoss(a, b body.Location, p Params) phys.DB {
 	if d < p.D0 {
 		d = p.D0
 	}
-	pl := float64(p.PL0) + 10*p.Exponent*math.Log10(d/p.D0)
+	pl := float64(p.PL0) + float64(10*p.Exponent*math.Log10(d/p.D0))
 	if body.Shadowed(a, b) {
 		pl += float64(p.NLoSPenalty)
 	}
@@ -318,7 +318,7 @@ func (m *Model) PathLossAt(t float64, i, j int) phys.DB {
 	p := &m.pairs[m.pairIdx[ij]]
 	if dt := t - p.lastT; dt > 0 {
 		r := m.rhoAt(dt)
-		p.delta = r.rho*p.delta + r.scale*p.fade.Norm()
+		p.delta = float64(r.rho*p.delta) + float64(r.scale*p.fade.Norm())
 		p.lastT = t
 	}
 	pl := m.mean[ij] + phys.DB(p.delta)
@@ -346,7 +346,7 @@ func (m *Model) rhoAt(dt float64) *rhoEntry {
 	e := &m.rho[math.Float64bits(dt)*0x9e3779b97f4a7c15>>(64-rhoBits)]
 	if e.dt != dt {
 		rho := math.Exp(-dt / m.params.Tau)
-		*e = rhoEntry{dt: dt, rho: rho, scale: m.params.Sigma * math.Sqrt(1-rho*rho)}
+		*e = rhoEntry{dt: dt, rho: rho, scale: m.params.Sigma * math.Sqrt(1-float64(rho*rho))}
 	}
 	return e
 }

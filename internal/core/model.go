@@ -122,8 +122,8 @@ func buildMILP(pr *design.Problem) (*milpModel, error) {
 			ck := float64(pr.Radio.TxModes[k].ConsumptionMW)
 			w := m.ProductBB(fmt.Sprintf("w_%d_%d", n, k), mm.yVars[mi], mm.pVars[k])
 			u := m.ProductBB(fmt.Sprintf("u_%d_%d", n, k), w, mm.rtVar)
-			starCoef := scale * (ck + 2*float64(n-1)*rx)
-			meshCoef := scale * float64(design.NreTx(n, pr.NHops)) * (ck + float64(n-1)*rx)
+			starCoef := float64(scale * (ck + float64(2*float64(n-1)*rx)))
+			meshCoef := float64(scale * float64(design.NreTx(n, pr.NHops)) * (ck + float64(float64(n-1)*rx)))
 			obj = obj.PlusTerm(w, starCoef)
 			obj = obj.PlusTerm(u, meshCoef-starCoef)
 		}

@@ -453,12 +453,12 @@ func (o *Optimizer) alpha(best design.Point) float64 {
 	if best.Routing == netsim.Star {
 		// Own transmission always happens; the 2(N−1) receptions scale
 		// with delivery.
-		lb = float64(pr.BaselineMW) + scale*(tx+pdr*2*(n-1)*rx)
+		lb = float64(pr.BaselineMW) + float64(scale*(tx+float64(pdr*2*(n-1)*rx)))
 	} else {
 		// The origin transmission always happens; relay transmissions
 		// and all receptions scale with delivery.
 		nre := float64(design.NreTx(best.N(), pr.NHops))
-		lb = float64(pr.BaselineMW) + scale*(tx+pdr*((nre-1)*tx+nre*(n-1)*rx))
+		lb = float64(pr.BaselineMW) + float64(scale*(tx+float64(pdr*(float64((nre-1)*tx)+float64(nre*(n-1)*rx)))))
 	}
 	pbar := pr.AnalyticPower(best)
 	if lb <= 0 || pbar <= lb {
@@ -706,7 +706,7 @@ func (o *Optimizer) simulateAll(ctx context.Context, points []design.Point) ([]p
 		stats.runs = int(d.SimRuns)
 		stats.seconds = d.SimSeconds()
 		stats.savedRuns = int(d.RepsSaved) + skippedRuns
-		stats.savedSeconds = d.SavedSeconds + float64(skippedRuns)*o.Problem.Duration
+		stats.savedSeconds = d.SavedSeconds + float64(float64(skippedRuns)*o.Problem.Duration)
 	}
 
 	// Distinct candidates in first-appearance order.

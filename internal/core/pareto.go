@@ -59,7 +59,7 @@ const sweepGateSlack = 0.02
 func DefaultSweepBounds() []float64 {
 	b := make([]float64, 16)
 	for i := range b {
-		b[i] = 0.50 + 0.03*float64(i)
+		b[i] = 0.50 + float64(0.03*float64(i))
 	}
 	return b
 }
@@ -124,7 +124,7 @@ func ParetoSweep(ctx context.Context, pr *design.Problem, so SweepOptions) (*Swe
 		lo, hi := bounds[0], bounds[len(bounds)-1]
 		o.fullGate = &netsim.Gate{
 			PDRMin: (lo + hi) / 2,
-			Margin: (hi-lo)/2 + o.Options.FeasTol + sweepGateSlack,
+			Margin: float64((hi-lo)/2) + o.Options.FeasTol + sweepGateSlack,
 		}
 	}
 	o.latencyMax = so.LatencyMax

@@ -212,8 +212,8 @@ func buildRobust(mm *milpModel, pr *design.Problem, rc RobustCompile) (*RobustHa
 			continue
 		}
 		pl := float64(pr.Channel.MeanPL(locs[body.Chest], locs[i]))
-		bigM := pl + gammaSat*delta + 40
-		e := linexpr.TermOf(mm.nVars[i], pl+gammaSat*delta+bigM)
+		bigM := pl + float64(gammaSat*delta) + 40
+		e := linexpr.TermOf(mm.nVars[i], pl+float64(gammaSat*delta)+bigM)
 		for k := range pr.Radio.TxModes {
 			e = e.PlusTerm(mm.pVars[k], -float64(pr.Radio.TxModes[k].OutputDBm))
 		}

@@ -278,11 +278,11 @@ func (pr *Problem) AnalyticPower(p Point) float64 {
 	rx := float64(pr.Radio.RxConsumptionMW)
 	var radioTerm float64
 	if p.Routing == netsim.Star {
-		radioTerm = tx + 2*(n-1)*rx
+		radioTerm = tx + float64(2*(n-1)*rx)
 	} else {
-		radioTerm = float64(NreTx(p.N(), pr.NHops)) * (tx + (n-1)*rx)
+		radioTerm = float64(NreTx(p.N(), pr.NHops)) * (tx + float64((n-1)*rx))
 	}
-	return float64(pr.BaselineMW) + pr.RatePPS*pr.Tpkt()*radioTerm
+	return float64(pr.BaselineMW) + float64(pr.RatePPS*pr.Tpkt()*radioTerm)
 }
 
 // AnalyticNLTDays converts the analytic power into the corresponding

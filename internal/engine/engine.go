@@ -1055,13 +1055,13 @@ func (b *batch) leadRetry(ev *netsim.Evaluator, t int, req *Request, en *entry, 
 	e.stats.simRuns.Add(int64(ran))
 	e.stats.mu.Lock()
 	if req.Key.Fidelity == Screen {
-		e.stats.screenSeconds += secs * float64(ran)
+		e.stats.screenSeconds += float64(secs * float64(ran))
 	} else {
-		e.stats.fullSeconds += secs * float64(ran)
+		e.stats.fullSeconds += float64(secs * float64(ran))
 	}
 	if saved := runs - ran; saved > 0 {
 		e.stats.repsSaved += int64(saved)
-		e.stats.savedSeconds += secs * float64(saved)
+		e.stats.savedSeconds += float64(secs * float64(saved))
 	}
 	e.stats.mu.Unlock()
 	sh := e.shard(req.Key)
@@ -1176,13 +1176,13 @@ func (b *batch) finalizeJob(j *job) {
 		e.stats.simRuns.Add(int64(j.ran))
 		e.stats.mu.Lock()
 		if j.req.Key.Fidelity == Screen {
-			e.stats.screenSeconds += secs * float64(j.ran)
+			e.stats.screenSeconds += float64(secs * float64(j.ran))
 		} else {
-			e.stats.fullSeconds += secs * float64(j.ran)
+			e.stats.fullSeconds += float64(secs * float64(j.ran))
 		}
 		if saved := j.runs - j.ran; saved > 0 {
 			e.stats.repsSaved += int64(saved)
-			e.stats.savedSeconds += secs * float64(saved)
+			e.stats.savedSeconds += float64(secs * float64(saved))
 		}
 		e.stats.mu.Unlock()
 		if j.en != nil {

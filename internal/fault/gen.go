@@ -117,8 +117,8 @@ func (g ScenarioGen) LinkBursts(locs []int, count, bursts int, duration float64)
 			if j >= i {
 				j++
 			}
-			start := st.Uniform(0, duration*0.9)
-			length := st.Uniform(duration*0.02, duration*0.1)
+			start := st.Uniform(0, float64(duration*0.9))
+			length := st.Uniform(float64(duration*0.02), float64(duration*0.1))
 			end := start + length
 			if end > duration {
 				end = duration

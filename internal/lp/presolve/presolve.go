@@ -101,11 +101,11 @@ func Analyze(p *linexpr.Compiled) *Reductions {
 				continue
 			}
 			if c > 0 {
-				L += c * lo[j]
-				U += c * hi[j]
+				L += float64(c * lo[j])
+				U += float64(c * hi[j])
 			} else {
-				L += c * hi[j]
-				U += c * lo[j]
+				L += float64(c * hi[j])
+				U += float64(c * lo[j])
 			}
 		}
 		return
@@ -137,7 +137,7 @@ func Analyze(p *linexpr.Compiled) *Reductions {
 			if row.Sense == linexpr.GE {
 				sgn = -1
 			}
-			b := sgn * row.RHS
+			b := float64(sgn * row.RHS)
 			var L, U float64
 			{
 				l0, u0 := act(row.Coefs)
@@ -147,7 +147,7 @@ func Analyze(p *linexpr.Compiled) *Reductions {
 					L, U = -u0, -l0
 				}
 			}
-			if U <= b-feasTol*(1+math.Abs(b)) {
+			if U <= b-float64(feasTol*(1+math.Abs(b))) {
 				// Strictly slack at every point of the box: never binds.
 				dropped[i] = true
 				red.DropRows = append(red.DropRows, i)
@@ -163,7 +163,7 @@ func Analyze(p *linexpr.Compiled) *Reductions {
 				if c == 0 || !binary(p, lo, hi, j) || lo[j] == hi[j] {
 					continue
 				}
-				a := sgn * c
+				a := float64(sgn * c)
 				if a > 0 && L+a > b+feasTol {
 					changed = fix(j, 0) || changed
 				} else if a < 0 && L-a > b+feasTol {

@@ -654,7 +654,7 @@ func gammaSweepChain(b *testing.B, warm bool) (pivots, nodes int) {
 func coreParetoFront(b *testing.B) {
 	bounds := make([]float64, 9)
 	for i := range bounds {
-		bounds[i] = 0.50 + 0.04*float64(i)
+		bounds[i] = 0.50 + float64(0.04*float64(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -73,7 +73,7 @@ func (r *Result) Finalize(runs int, batteryJ phys.Joule, pdrs []float64) {
 	var sq float64
 	for _, p := range pdrs {
 		d := p - r.PDR
-		sq += d * d
+		sq += float64(d * d)
 	}
 	r.PDRStdDev = math.Sqrt(sq / float64(runs-1))
 }
@@ -95,7 +95,7 @@ func (r *Result) PDRHalfWidth(conf float64) float64 {
 	if conf >= 1 {
 		return math.Inf(1)
 	}
-	t := tQuantile(0.5+conf/2, r.Runs-1)
+	t := tQuantile(0.5+float64(conf/2), r.Runs-1)
 	return t * r.PDRStdDev / math.Sqrt(float64(r.Runs))
 }
 
@@ -116,16 +116,16 @@ func tQuantile(p float64, df int) float64 {
 		a := 2*p - 1
 		return a * math.Sqrt(2/((1-a)*(1+a)))
 	}
-	z := math.Sqrt2 * math.Erfinv(2*p-1)
+	z := float64(math.Sqrt2 * math.Erfinv(2*p-1))
 	z2 := z * z
-	z3 := z2 * z
+	z3 := float64(z2 * z)
 	z5 := z3 * z2
 	z7 := z5 * z2
 	z9 := z7 * z2
 	g1 := (z3 + z) / 4
-	g2 := (5*z5 + 16*z3 + 3*z) / 96
-	g3 := (3*z7 + 19*z5 + 17*z3 - 15*z) / 384
-	g4 := (79*z9 + 776*z7 + 1482*z5 - 1920*z3 - 945*z) / 92160
+	g2 := (float64(5*z5) + float64(16*z3) + float64(3*z)) / 96
+	g3 := (float64(3*z7) + float64(19*z5) + float64(17*z3) - float64(15*z)) / 384
+	g4 := (float64(79*z9) + float64(776*z7) + float64(1482*z5) - float64(1920*z3) - float64(945*z)) / 92160
 	v := float64(df)
 	return z + g1/v + g2/(v*v) + g3/(v*v*v) + g4/(v*v*v*v)
 }
@@ -170,7 +170,7 @@ func (g Gate) Decided(pdrs []float64) bool {
 	var sq float64
 	for _, p := range pdrs {
 		d := p - mean
-		sq += d * d
+		sq += float64(d * d)
 	}
 	stat := Result{Runs: n, PDRStdDev: math.Sqrt(sq / float64(n-1))}
 	hw := stat.PDRHalfWidth(g.Confidence)

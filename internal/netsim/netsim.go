@@ -706,7 +706,7 @@ func (n *Network) collectInto(res *Result, lats []float64) []float64 {
 				// An outage window still open at the horizon.
 				downtime += cfg.Duration - nd.downAt
 			}
-			txTime := float64(nd.txCount) * n.airtime
+			txTime := float64(float64(nd.txCount) * n.airtime)
 			rxJ = float64(cfg.Radio.RxConsumptionMW) / 1000 * (nd.aliveUntil - downtime - txTime)
 		}
 		pw := cfg.BaselineMW + phys.MilliWatt((nd.txEnergyJ+rxJ)/cfg.Duration*1000)

@@ -110,7 +110,7 @@ func (g *Stream) Uint64() uint64 {
 
 // Float64 returns a uniform float64 in [0, 1).
 func (g *Stream) Float64() float64 {
-	return float64(g.Uint64()>>11) / (1 << 53)
+	return float64(float64(g.Uint64()>>11) / (1 << 53))
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0.
@@ -139,9 +139,9 @@ func (g *Stream) Norm() float64 {
 	}
 	var u, v, s float64
 	for {
-		u = 2*g.Float64() - 1
-		v = 2*g.Float64() - 1
-		s = u*u + v*v
+		u = float64(2*g.Float64()) - 1
+		v = float64(2*g.Float64()) - 1
+		s = float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
 			break
 		}
@@ -160,7 +160,7 @@ func (g *Stream) Exp(mean float64) float64 {
 
 // Uniform returns a uniform deviate in [lo, hi).
 func (g *Stream) Uniform(lo, hi float64) float64 {
-	return lo + (hi-lo)*g.Float64()
+	return lo + float64((hi-lo)*g.Float64())
 }
 
 // Perm returns a pseudo-random permutation of [0, n).
