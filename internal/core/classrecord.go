@@ -133,11 +133,11 @@ func (r *classRecord) matches(work *linexpr.Compiled, opts Options) bool {
 // classRecord returns the record a run over the freshly compiled arena
 // work replays from: the engine ledger's record for that relaxation when
 // one is filed and no extension of it failed, else a new record keyed on
-// work (which it takes ownership of, with mm's decoder) and filed in the ledger,
-// charged from its first extension on. Filing builds no solver state, so
-// the ledger's lock is held only for the lookup. A run holds on to the
-// record it got, so neither a concurrent run that replaces it nor an
-// eviction disturbs it.
+// work (which it takes ownership of, with mm's decoder) and filed in the
+// ledger, charged from its first extension on. Filing builds no solver
+// state, so the ledger's lock is held only for the lookup. A run holds
+// on to the record it got, so neither a concurrent run that replaces it
+// nor an eviction disturbs it.
 func (o *Optimizer) classRecord(mm *milpModel, work *linexpr.Compiled) *classRecord {
 	h := recordHash(work, o.Options)
 	return o.eng.Ledger(h, func(v any) bool {

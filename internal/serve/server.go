@@ -22,8 +22,10 @@ const CacheSig = 0x68697365727665 // "hiserve"
 
 // DefaultCacheBytes is the byte budget of a server-owned engine: 2 MiB,
 // about 5.7k cached twenty-second results at ~365 B each, less what the
-// class ledger holds (DESIGN.md §16). A daemon mints first-time tenants
-// without end, so unlike a batch run its engine must evict.
+// ledger holds — class records and response-memo entries (~550 B each),
+// which together may take at most half of it (DESIGN.md §16). A daemon
+// mints first-time tenants without end, so unlike a batch run its
+// engine must evict.
 const DefaultCacheBytes = 2 << 20
 
 // Config sizes a Server.
