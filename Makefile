@@ -168,10 +168,12 @@ pareto-smoke:
 
 # The daemon gate: assemble the real hiserve stack and run three
 # concurrent personalized requests — one cancelled mid-stream — then
-# assert a byte-identical repeat response and a clean shutdown, under
-# the race detector (DESIGN.md §16).
+# assert a byte-identical repeat response and a clean shutdown; and
+# send identical first requests concurrently, which must run one solve
+# between them (and a new one when its client goes away). All under the
+# race detector (DESIGN.md §16).
 serve-smoke:
-	$(GO) test -race -count=1 -run 'TestServeSmoke|TestCancelMidStream' -v ./internal/serve/
+	$(GO) test -race -count=1 -run 'TestServeSmoke|TestCancelMidStream|TestConcurrentFirstRequestsSolveOnce|TestCancelledLeaderWaiterSolves' -v ./internal/serve/
 
 # The fault-family gate: every caller of the engine's family call, in
 # both modes. hisim evaluates one configuration against its 1-node-failure

@@ -1,7 +1,8 @@
 // Command hiserve-bench is the load driver for the hiserve daemon: it
 // fires N concurrent clients at POST /v1/design — a mix of personalized
-// profiles — and reports sustained designs/sec with p50/p99 latency and
-// how many requests the daemon answered from its response memo.
+// profiles — and reports sustained designs/sec with p50/p99 latency,
+// how many requests the daemon answered from its response memo or by
+// waiting for an identical solve in flight, and how many it solved.
 // Every in-flight response is checked against the first response of its
 // profile: the daemon's determinism contract says identical request
 // bodies yield byte-identical response bodies regardless of concurrent
@@ -85,7 +86,7 @@ func main() {
 		MaxIdleConnsPerHost: *clients,
 	}}
 
-	hits0, err := memoHits(client, base)
+	st0, err := memoStats(client, base)
 	c.Check(err)
 	var (
 		next      atomic.Int64
@@ -137,9 +138,9 @@ func main() {
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	hits1, err := memoHits(client, base)
+	st1, err := memoStats(client, base)
 	c.Check(err)
-	hits := hits1 - hits0
+	hits := st1.Memo.Hits - st0.Memo.Hits
 
 	if fails.Load() > 0 {
 		c.Check(fmt.Errorf("%d of %d requests failed", fails.Load(), *requests))
@@ -157,7 +158,8 @@ func main() {
 	fmt.Printf("hiserve-bench: %d requests, %d clients, %s elapsed\n", len(latencies), *clients, elapsed.Round(time.Millisecond))
 	// The mix cycles five profiles, so past the first requests nearly
 	// every design is a memo hit: designs/sec is not solve throughput.
-	fmt.Printf("  designs/sec  %.1f (%d of %d answered from the response memo)\n", dps, hits, len(latencies))
+	fmt.Printf("  designs/sec  %.1f (%d of %d answered from the response memo, %d by waiting for an identical solve; %d solves)\n",
+		dps, hits, len(latencies), st1.Memo.Joined-st0.Memo.Joined, st1.Solves-st0.Solves)
 	fmt.Printf("  p50 latency  %s\n", p50.Round(time.Microsecond))
 	fmt.Printf("  p99 latency  %s\n", p99.Round(time.Microsecond))
 	fmt.Printf("  determinism  ok (%d profiles byte-stable)\n", len(profiles))
@@ -220,21 +222,28 @@ func appendResult(path string, n, clients int, dps float64, memoHits int64, p50,
 	return os.WriteFile(path, append(out, '\n'), 0o644)
 }
 
-// memoHits reads the daemon's response-memo hit count from /statsz (0
-// from a daemon without a memo).
-func memoHits(client *http.Client, base string) (int64, error) {
+// statsz is the part of the daemon's /statsz body the load report reads:
+// requests answered from the response memo or by waiting for an
+// identical solve in flight, and fresh solves (0 from a daemon without
+// these counters).
+type statsz struct {
+	Memo struct {
+		Hits   int64 `json:"hits"`
+		Joined int64 `json:"joined"`
+	} `json:"memo"`
+	Solves int64 `json:"solves"`
+}
+
+// memoStats reads the daemon's /statsz.
+func memoStats(client *http.Client, base string) (statsz, error) {
+	var st statsz
 	resp, err := client.Get(base + "/statsz")
 	if err != nil {
-		return 0, err
+		return st, err
 	}
 	defer resp.Body.Close()
-	var st struct {
-		Memo struct {
-			Hits int64 `json:"hits"`
-		} `json:"memo"`
-	}
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return 0, fmt.Errorf("statsz: %w", err)
+		return st, fmt.Errorf("statsz: %w", err)
 	}
-	return st.Memo.Hits, nil
+	return st, nil
 }

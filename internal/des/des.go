@@ -74,8 +74,22 @@ func (h Handle) Time() float64 {
 	return h.e.t
 }
 
+// CacheLine is the cache-line size the kernel pads for: 64 bytes on
+// amd64 and on arm64 cores up to Neoverse N1.
+const CacheLine = 64
+
 // Simulator owns the clock and the event calendar.
+//
+// Its mutable fields sit between two CacheLine pads, so no other object
+// can share a cache line with them whatever the allocation order. The
+// engine makes one Simulator per worker, all on one goroutine, and the
+// allocator puts them back to back: unpadded (72 bytes, the 80-byte size
+// class) one worker's free-list header and the next worker's clock,
+// sequence and calendar header shared a line, which every event on
+// either core wrote, so two workers ran little faster than one
+// (DESIGN.md §8, "Per-worker state owns its cache lines").
 type Simulator struct {
+	_         [CacheLine]byte
 	now       float64
 	seq       uint64
 	queue     []*Event // 4-ary heap: the children of i are 4i+1 … 4i+4
@@ -84,6 +98,7 @@ type Simulator struct {
 	// are cancelled, or are swept by Reset, and leave it on the next
 	// Schedule/At. Its length converges to the calendar's high-water mark.
 	free []*Event
+	_    [CacheLine]byte
 }
 
 // New returns a simulator with the clock at zero.

@@ -22,13 +22,20 @@ import (
 // therefore only valid until its Evaluator's next run.
 //
 // An Evaluator is not safe for concurrent use; give each worker goroutine
-// its own (see internal/core's evaluator pool).
+// its own (see internal/core's evaluator pool). The engine makes all of
+// its workers' Evaluators on one goroutine, back to back in one size
+// class, so the fields sit between des.CacheLine pads: scratch, pdrs and
+// lats are written on every replication, and without the pads one
+// worker's lats header could share a cache line with the next worker's
+// scratch (DESIGN.md §8).
 type Evaluator struct {
+	_       [des.CacheLine]byte
 	sim     *des.Simulator
 	ch      *channel.Model // re-seeded in place by every run; nil until the first
 	scratch Result         // per-repetition metrics inside RunAveraged
 	pdrs    []float64      // per-repetition PDR samples for the std-dev estimate
 	lats    []float64      // latency merge buffer for collectInto
+	_       [des.CacheLine]byte
 }
 
 // NewEvaluator returns an Evaluator with a fresh kernel. Its channel model

@@ -25,8 +25,10 @@ func statsz(t *testing.T, url string) (st struct {
 		Evicted         int64 `json:"evicted"`
 	} `json:"ledger"`
 	Memo struct {
-		Hits   int64 `json:"hits"`
-		Filled int64 `json:"filled"`
+		Hits    int64 `json:"hits"`
+		Joined  int64 `json:"joined"`
+		Waiting int64 `json:"waiting"`
+		Filled  int64 `json:"filled"`
 	} `json:"memo"`
 	Solves       int64 `json:"solves"`
 	AlphaStopped int64 `json:"alpha_stopped"`

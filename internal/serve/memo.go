@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"math"
 	"unsafe"
 
@@ -14,7 +15,9 @@ import (
 // is filed in the engine's side table (engine.Ledger) next to the class
 // records, charged to the same budget and evicted in the same CLOCK
 // order. A repeat of an answered profile is then written from its entry
-// before admission, without running the search again (DESIGN.md §16).
+// before admission, without running the search again, and a request for
+// a profile that another request is solving right now waits for that
+// solve instead of starting its own (DESIGN.md §16).
 
 // memoEntry is one answered profile: the Response a fresh solve returned,
 // its profile echo with Stream cleared, and the iteration events that
@@ -48,6 +51,14 @@ func memoMatch(p Profile) func(any) bool {
 	}
 }
 
+// streamed is the entry's Response as the result line of a streamed
+// request echoes it, with stream: true.
+func (e *memoEntry) streamed() *Response {
+	r := *e.resp
+	r.Profile.Stream = true
+	return &r
+}
+
 // memoLookup returns the entry answering the normalized profile p, or
 // nil.
 func (s *Server) memoLookup(p Profile) *memoEntry {
@@ -56,18 +67,79 @@ func (s *Server) memoLookup(p Profile) *memoEntry {
 	return e
 }
 
-// memoFile files a fresh solve's Response and iteration events and
-// charges the entry. When a concurrent identical solve filed first, its
+// memoFile files a fresh solve's entry (its profile's Stream cleared)
+// and charges it. When a concurrent identical solve filed first, its
 // entry stays and this one is dropped; so is an entry larger than the
 // ledger's half of the budget.
-func (s *Server) memoFile(resp *Response, events []core.IterationEvent) {
-	r := *resp
-	r.Profile.Stream = false
-	e := &memoEntry{resp: &r, events: events}
-	h := r.Profile.memoHash()
-	if s.eng.Ledger(h, memoMatch(r.Profile), func() any { return e }) == e && s.eng.LedgerCharge(h, e, e.bytes()) {
+func (s *Server) memoFile(e *memoEntry) {
+	h := e.resp.Profile.memoHash()
+	if s.eng.Ledger(h, memoMatch(e.resp.Profile), func() any { return e }) == e && s.eng.LedgerCharge(h, e, e.bytes()) {
 		s.memoFilled.Add(1)
 	}
+}
+
+// flight is one solve in progress. Requests for its profile that arrive
+// meanwhile wait on done and are answered from entry, which the leader
+// sets before it closes done: nil when the solve failed or was cancelled.
+type flight struct {
+	done  chan struct{}
+	entry *memoEntry
+}
+
+// answer returns the entry answering the normalized profile p: from the
+// memo, or from an identical solve in flight, waited for until it lands
+// or ctx is done (then ctx's error). With neither, it registers and
+// returns a flight that the caller leads: it must solve p and land the
+// flight, whatever the outcome. A flight that lands without an entry
+// sends its waiters round again, so one of them leads the next solve.
+func (s *Server) answer(ctx context.Context, p Profile) (*memoEntry, *flight, error) {
+	p.Stream = false
+	for {
+		if e := s.memoLookup(p); e != nil {
+			s.memoHits.Add(1)
+			return e, nil, nil
+		}
+		s.flightMu.Lock()
+		f := s.flights[p]
+		if f == nil {
+			// A leader files its entry before it lands, so a miss above
+			// that raced with a landing shows up here.
+			if e := s.memoLookup(p); e != nil {
+				s.flightMu.Unlock()
+				s.memoHits.Add(1)
+				return e, nil, nil
+			}
+			f = &flight{done: make(chan struct{})}
+			s.flights[p] = f
+			s.flightMu.Unlock()
+			return nil, f, nil
+		}
+		s.flightMu.Unlock()
+		s.memoWaiting.Add(1)
+		select {
+		case <-f.done:
+		case <-ctx.Done():
+		}
+		s.memoWaiting.Add(-1)
+		if err := ctx.Err(); err != nil {
+			return nil, nil, err
+		}
+		if f.entry != nil {
+			s.memoJoined.Add(1)
+			return f.entry, nil, nil
+		}
+	}
+}
+
+// land ends the flight for the normalized profile p with the leader's
+// entry (nil when its solve failed) and wakes its waiters.
+func (s *Server) land(p Profile, f *flight, e *memoEntry) {
+	p.Stream = false
+	s.flightMu.Lock()
+	delete(s.flights, p)
+	s.flightMu.Unlock()
+	f.entry = e
+	close(f.done)
 }
 
 // bytes is the entry's footprint for the engine's budget: the entry, its

@@ -387,13 +387,14 @@ func TestCancelMidStream(t *testing.T) {
 
 // fillAdmission occupies the only slot and the only queue place of a
 // server built with Capacity 1 and MaxQueue 1 with two heavy requests,
-// which run until the test ends.
+// which run until the test ends. Their seeds differ: a second request
+// for the first one's profile would wait for its solve, not queue.
 func fillAdmission(t *testing.T, url string) {
 	t.Helper()
-	heavy := `{"duration": 600, "runs": 10, "max_iterations": 200}`
 	ctx, cancel := context.WithCancel(context.Background())
 	t.Cleanup(cancel)
-	launch := func() {
+	launch := func(seed int) {
+		heavy := fmt.Sprintf(`{"duration": 600, "runs": 10, "max_iterations": 200, "seed": %d}`, seed)
 		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, url+"/v1/design", strings.NewReader(heavy))
 		req.Header.Set("Content-Type", "application/json")
 		resp, err := http.DefaultClient.Do(req)
@@ -401,8 +402,8 @@ func fillAdmission(t *testing.T, url string) {
 			resp.Body.Close()
 		}
 	}
-	go launch() // occupies the only slot
-	go launch() // fills the queue
+	go launch(11) // occupies the only slot
+	go launch(12) // fills the queue
 	// Wait for slot + queue to fill.
 	deadline := time.Now().Add(10 * time.Second)
 	for {

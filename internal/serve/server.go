@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"sync/atomic"
 
 	"hiopt/internal/core"
@@ -81,8 +82,16 @@ type Server struct {
 	// oracle calls into fresh solves and class-ledger replays.
 	solvedClasses, replayedClasses atomic.Int64
 	// memoHits counts requests answered from the response memo (never
-	// counted as solves); memoFilled the answers filed in it.
-	memoHits, memoFilled atomic.Int64
+	// counted as solves); memoJoined those answered by waiting for an
+	// identical solve in flight; memoFilled the answers filed in the memo.
+	// memoWaiting is the number of requests waiting for a flight now.
+	memoHits, memoJoined, memoFilled, memoWaiting atomic.Int64
+
+	// flights holds the solves in progress by normalized profile (Stream
+	// cleared), so concurrent first requests for one profile run one
+	// solve (memo.go).
+	flightMu sync.Mutex
+	flights  map[Profile]*flight
 }
 
 // New builds a Server.
@@ -110,7 +119,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.RobustWeight == 0 {
 		cfg.RobustWeight = 4
 	}
-	s := &Server{cfg: cfg, eng: eng, adm: newAdmission(cfg.Capacity, cfg.MaxQueue)}
+	s := &Server{cfg: cfg, eng: eng, adm: newAdmission(cfg.Capacity, cfg.MaxQueue), flights: make(map[Profile]*flight)}
 	s.mux = http.NewServeMux()
 	s.mux.HandleFunc("/v1/design", s.handleDesign)
 	s.mux.HandleFunc("/healthz", s.handleHealth)
@@ -193,8 +202,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"evicted":          led.Evicted,
 		},
 		"memo": map[string]int64{
-			"hits":   s.memoHits.Load(),
-			"filled": s.memoFilled.Load(),
+			"hits":    s.memoHits.Load(),
+			"joined":  s.memoJoined.Load(),
+			"waiting": s.memoWaiting.Load(),
+			"filled":  s.memoFilled.Load(),
 		},
 		"admission": map[string]int{
 			"used": used, "capacity": capacity, "queued": queued,
@@ -236,9 +247,14 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// A repeat of an answered profile costs no solve, so it neither
-	// waits for nor takes an admission slot.
-	if e := s.memoLookup(p); e != nil {
-		s.memoHits.Add(1)
+	// waits for nor takes an admission slot; nor does a request whose
+	// profile another request is solving, which waits for that solve.
+	e, f, err := s.answer(r.Context(), p)
+	if err != nil {
+		// The client went away while waiting; nothing to answer.
+		return
+	}
+	if e != nil {
 		if p.Stream {
 			replay(w, e)
 		} else {
@@ -246,6 +262,8 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
+	// This request leads the flight: whatever happens below, land it.
+	defer func() { s.land(p, f, e) }()
 
 	weight := 1
 	if p.Gamma > 0 {
@@ -263,11 +281,10 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 	defer s.adm.release(weight)
 
 	if p.Stream {
-		s.solveStreaming(w, r.Context(), p)
+		e = s.solveStreaming(w, r.Context(), p)
 		return
 	}
-	resp, err := s.solve(r.Context(), p, nil)
-	if err != nil {
+	if e, err = s.solve(r.Context(), p, nil); err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			// The client disconnected mid-solve; the write below is a
@@ -277,7 +294,7 @@ func (s *Server) handleDesign(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	writeResponse(w, resp)
+	writeResponse(w, e.resp)
 }
 
 // writeResponse writes a non-streaming answer.
@@ -307,37 +324,37 @@ func ndjson(w http.ResponseWriter) func(event) {
 // solveStreaming answers one request as chunked NDJSON: iteration events
 // as they happen, then the final result line. Everything is written from
 // this goroutine (core calls OnIteration synchronously), so no locking.
-func (s *Server) solveStreaming(w http.ResponseWriter, ctx context.Context, p Profile) {
+// It returns the solve's entry, nil when the solve failed.
+func (s *Server) solveStreaming(w http.ResponseWriter, ctx context.Context, p Profile) *memoEntry {
 	emit := ndjson(w)
-	resp, err := s.solve(ctx, p, func(ev core.IterationEvent) {
+	e, err := s.solve(ctx, p, func(ev core.IterationEvent) {
 		emit(event{Event: "iteration", IterationEvent: &ev})
 	})
 	if err != nil {
 		// Mid-stream failure: the status line is long gone, so the error
 		// is itself an event (a disconnected client never reads it).
 		emit(event{Event: "error", Error: err.Error()})
-		return
+		return nil
 	}
-	emit(event{Event: "result", Response: resp})
+	emit(event{Event: "result", Response: e.streamed()})
+	return e
 }
 
-// replay answers a streamed repeat from its memo entry: the solve's
-// iteration lines, then the result line echoing the request's
-// stream: true — the bytes solveStreaming wrote for it.
+// replay answers a streamed request from an entry: the solve's iteration
+// lines, then the result line echoing the request's stream: true — the
+// bytes solveStreaming wrote for it.
 func replay(w http.ResponseWriter, e *memoEntry) {
 	emit := ndjson(w)
 	for i := range e.events {
 		emit(event{Event: "iteration", IterationEvent: &e.events[i]})
 	}
-	r := *e.resp
-	r.Profile.Stream = true
-	emit(event{Event: "result", Response: &r})
+	emit(event{Event: "result", Response: e.streamed()})
 }
 
 // solve runs one personalized problem to completion on the shared engine
-// and files the answer in the response memo. A failed or cancelled solve
-// files nothing.
-func (s *Server) solve(ctx context.Context, p Profile, onIter func(core.IterationEvent)) (*Response, error) {
+// and files the answer in the response memo. It returns the answer's
+// entry, filed or not; a failed or cancelled solve files nothing.
+func (s *Server) solve(ctx context.Context, p Profile, onIter func(core.IterationEvent)) (*memoEntry, error) {
 	var events []core.IterationEvent
 	out, err := core.NewOptimizer(p.problem(), p.options(s.eng, func(ev core.IterationEvent) {
 		events = append(events, ev)
@@ -354,6 +371,7 @@ func (s *Server) solve(ctx context.Context, p Profile, onIter func(core.Iteratio
 	}
 	s.solvedClasses.Add(int64(out.MILPClasses - out.MILPReplayedClasses))
 	s.replayedClasses.Add(int64(out.MILPReplayedClasses))
+	p.Stream = false
 	resp := &Response{
 		Status:      out.Status.String(),
 		Profile:     p,
@@ -378,6 +396,7 @@ func (s *Server) solve(ctx context.Context, p Profile, onIter func(core.Iteratio
 			resp.Design.WorstScenario = b.WorstScenario
 		}
 	}
-	s.memoFile(resp, events)
-	return resp, nil
+	e := &memoEntry{resp: resp, events: events}
+	s.memoFile(e)
+	return e, nil
 }
